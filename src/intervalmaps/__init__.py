@@ -51,7 +51,6 @@ from .kernel import (
     slope_poly_quotient,
 )
 from .plmap import (
-    Branch,
     BranchBudgetError,
     FixedPointContinuumError,
     Interval,
@@ -61,7 +60,6 @@ from .plmap import (
 from .sharkovskii import TWO_INF, expected_period_set, sharkovskii_le
 
 __all__ = [
-    "Branch",
     "BranchBudgetError",
     "ConstructedMap",
     "ConstructionParams",

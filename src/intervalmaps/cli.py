@@ -24,7 +24,7 @@ from .construct import odd_type_map, parse_slope_text, square_root
 from .covering import build_covering_graph
 from .document import MapDocument, document_for, load_document, save_document
 from .kernel import minimal_slope, scalar_to_str
-from .plmap import BranchBudgetError
+from .plmap import DEFAULT_BRANCH_CAP, BranchBudgetError
 from .plotsvg import render_map_svg
 
 EXIT_OK = 0
@@ -67,14 +67,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _branch_cap(args) -> int:
-    if getattr(args, "branch_cap", None):
-        return args.branch_cap
-    env = os.environ.get(ENV_BRANCH_CAP)
-    if env:
-        return int(env)
-    from .plmap import DEFAULT_BRANCH_CAP
-
-    return DEFAULT_BRANCH_CAP
+    if args.branch_cap is not None:
+        cap, source = args.branch_cap, "--branch-cap"
+    elif os.environ.get(ENV_BRANCH_CAP):
+        cap, source = int(os.environ[ENV_BRANCH_CAP]), ENV_BRANCH_CAP
+    else:
+        return DEFAULT_BRANCH_CAP
+    if cap < 1:
+        raise _UsageError(f"{source} must be a positive integer, got {cap}")
+    return cap
 
 
 def _build_parser() -> _Parser:
@@ -182,9 +183,9 @@ def cmd_construct(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    cap = _branch_cap(args)
     doc = load_document(args.path)
     m = doc.plmap()
-    cap = _branch_cap(args)
     report: dict = {"path": args.path, "type_claim": doc.claimed_type}
     worst = EXIT_OK
 
@@ -308,9 +309,9 @@ def _run_cell(job) -> Tuple[int, int, str, dict]:
 
 
 def cmd_sweep(args) -> int:
+    cap = _branch_cap(args)
     cells = _sweep_cells(args)
     os.makedirs(args.out_dir, exist_ok=True)
-    cap = _branch_cap(args)
     jobs = [
         (p, d, slope, tol, args.out_dir, args.entropy_n, args.type_q,
          args.mixing_width, args.mixing_grid, args.mixing_cap, cap)

@@ -104,9 +104,19 @@ class MapDocument:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MapDocument":
-        if obj.get("format") != FORMAT_ID:
-            raise ValueError(f"unsupported document format {obj.get('format')!r}")
-        params = obj["params"]
+        fmt = obj.get("format") if isinstance(obj, dict) else None
+        if fmt != FORMAT_ID:
+            raise ValueError(f"unsupported document format {fmt!r}")
+        params = obj.get("params")
+        if not isinstance(params, dict):
+            raise ValueError("document field 'params' is missing or not an object")
+        try:
+            return cls._from_fields(obj, params)
+        except KeyError as exc:
+            raise ValueError(f"document lacks field {exc}") from None
+
+    @classmethod
+    def _from_fields(cls, obj: dict, params: dict) -> "MapDocument":
         markers = obj.get("markers")
         parsed_markers = None
         if markers is not None:

@@ -266,3 +266,62 @@ class TestUsage:
 
     def test_missing_command_args(self, capsys):
         assert main(["construct"]) == 1
+
+
+class TestBranchCapValidation:
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_flag_rejected(self, tmp_path, capsys, cap):
+        path = construct(tmp_path, "--p", "3", "--lambda", "2")
+        capsys.readouterr()
+        assert main(["analyze", str(path), "--type", "3", "--branch-cap", cap]) == 1
+        assert "--branch-cap must be a positive integer" in capsys.readouterr().err
+        out_dir = tmp_path / "cells"
+        assert main(["sweep", "--out-dir", str(out_dir), "--branch-cap", cap]) == 1
+        assert "--branch-cap must be a positive integer" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_env_var_rejected(self, tmp_path, capsys, monkeypatch, cap):
+        path = construct(tmp_path, "--p", "3", "--lambda", "2")
+        capsys.readouterr()
+        monkeypatch.setenv("INTERVALMAPS_BRANCH_CAP", cap)
+        assert main(["analyze", str(path), "--type", "3"]) == 1
+        assert "INTERVALMAPS_BRANCH_CAP must be a positive integer" in capsys.readouterr().err
+        assert main(["sweep", "--out-dir", str(tmp_path / "cells")]) == 1
+        assert "INTERVALMAPS_BRANCH_CAP must be a positive integer" in capsys.readouterr().err
+
+    def test_flag_overrides_env_var(self, tmp_path, capsys, monkeypatch):
+        path = construct(tmp_path, "--p", "3", "--lambda", "2")
+        capsys.readouterr()
+        monkeypatch.setenv("INTERVALMAPS_BRANCH_CAP", "0")
+        assert main(["analyze", str(path), "--type", "3", "--branch-cap", "1000"]) == 0
+
+
+class TestMalformedDocument:
+    def rewrite(self, tmp_path, edit):
+        path = construct(tmp_path, "--p", "3", "--lambda", "2")
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        return path
+
+    def test_missing_params(self, tmp_path, capsys):
+        path = self.rewrite(tmp_path, lambda obj: obj.pop("params"))
+        capsys.readouterr()
+        assert main(["analyze", str(path), "--type", "3"]) == 1
+        assert "error: document field 'params'" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="'params'"):
+            load_document(str(path))
+
+    def test_params_as_list(self, tmp_path, capsys):
+        path = self.rewrite(tmp_path, lambda obj: obj.update(params=[3, 0, "2"]))
+        capsys.readouterr()
+        assert main(["analyze", str(path), "--type", "3"]) == 1
+        assert "error: document field 'params'" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="'params'"):
+            load_document(str(path))
+
+    def test_missing_param_key(self, tmp_path, capsys):
+        path = self.rewrite(tmp_path, lambda obj: obj["params"].pop("lambda"))
+        with pytest.raises(ValueError, match="lacks field 'lambda'"):
+            load_document(str(path))
