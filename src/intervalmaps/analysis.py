@@ -239,8 +239,10 @@ def estimate_entropy(
     The headline h fits log L(n) ~ h*n + c by least squares over the last
     eight iterates, which cancels the constant prefactor and averages out the
     period-2 ratio oscillation of square-root maps; the raw last-ratio and
-    log L(n)/n readings are reported alongside. Budget overruns propagate as
-    BranchBudgetError.
+    log L(n)/n readings are reported alongside. Rational maps get their lap
+    counts from the interval graph of PLMap.lap_growth, floating ones from the
+    branch pass. A branch count of some f^n over branch_cap (computed, in
+    rational mode, not built) propagates as BranchBudgetError.
     """
     if n_max < 3:
         raise ValueError("n_max must be >= 3")

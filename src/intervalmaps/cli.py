@@ -22,9 +22,15 @@ from .analysis import (
 )
 from .construct import odd_type_map, parse_slope_text, square_root
 from .covering import build_covering_graph
-from .document import MapDocument, document_for, load_document, save_document
+from .document import (
+    MapDocument,
+    document_for,
+    load_document,
+    save_document,
+    write_text_atomic,
+)
 from .kernel import minimal_slope, scalar_to_str
-from .plmap import DEFAULT_BRANCH_CAP, BranchBudgetError
+from .plmap import DEFAULT_BRANCH_CAP, BranchBudgetError, FixedPointContinuumError
 from .plotsvg import render_map_svg
 
 EXIT_OK = 0
@@ -43,21 +49,6 @@ def _csv_quote(field: str) -> str:
     if any(ch in field for ch in ',"\n'):
         return '"' + field.replace('"', '""') + '"'
     return field
-
-
-def _write_text_atomic(path: str, text: str) -> None:
-    import tempfile
-
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 class _Parser(argparse.ArgumentParser):
@@ -202,7 +193,7 @@ def cmd_analyze(args) -> int:
             for n, lap in enumerate(est.laps, start=1):
                 ratio = "" if n == 1 else f"{est.log_ratios[n - 2]:.12g}"
                 lines.append(f"{n},{lap},{ratio}")
-            _write_text_atomic(args.csv_path, "\n".join(lines) + "\n")
+            write_text_atomic(args.csv_path, "\n".join(lines) + "\n")
 
     if args.type_q is not None:
         tr = verify_type(
@@ -233,7 +224,7 @@ def cmd_analyze(args) -> int:
 
     if args.graph is not None:
         graph = build_covering_graph(m, doc.partition())
-        _write_text_atomic(args.graph, graph.to_dot())
+        write_text_atomic(args.graph, graph.to_dot())
         report["graph"] = {
             "dot_path": args.graph,
             "vertices": len(graph.vertices),
@@ -337,7 +328,7 @@ def cmd_sweep(args) -> int:
             f"p={p} d={d} lambda={slope}: {row['type_verdict']}, "
             f"h={row['h_estimate'] or 'n/a'} (target {row['h_target'] or 'n/a'})"
         )
-    _write_text_atomic(summary_path, "\n".join(lines) + "\n")
+    write_text_atomic(summary_path, "\n".join(lines) + "\n")
     print(f"summary written to {summary_path}")
     return EXIT_OK if ok else EXIT_REFUTED
 
@@ -352,7 +343,7 @@ def cmd_plot(args) -> int:
         f"d = {doc.doublings}"
     )
     svg = render_map_svg(doc.plmap(), markers=doc.markers, title=title)
-    _write_text_atomic(args.out, svg)
+    write_text_atomic(args.out, svg)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -379,7 +370,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BranchBudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, FixedPointContinuumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -20,6 +20,7 @@ from typing import Dict, List, Tuple
 
 from .kernel import (
     Scalar,
+    _require_odd,
     as_scalar,
     eval_slope_poly,
     is_exact,
@@ -39,11 +40,6 @@ __all__ = [
     "stefan_map",
     "typed_map",
 ]
-
-
-def _require_odd(p: int) -> None:
-    if not isinstance(p, int) or isinstance(p, bool) or p < 3 or p % 2 == 0:
-        raise ValueError(f"p must be an odd integer >= 3, got {p!r}")
 
 
 class SlopeBelowMinimumError(ValueError):

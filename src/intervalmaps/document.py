@@ -29,6 +29,7 @@ __all__ = [
     "document_for",
     "load_document",
     "save_document",
+    "write_text_atomic",
 ]
 
 
@@ -183,18 +184,22 @@ def document_for(
     )
 
 
-def save_document(doc: MapDocument, path: str) -> None:
+def write_text_atomic(path: str, text: str) -> None:
     """Whole-file atomic write (temp file in the same directory, then rename)."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(doc.to_json())
+            handle.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_document(doc: MapDocument, path: str) -> None:
+    write_text_atomic(path, doc.to_json())
 
 
 def load_document(path: str) -> MapDocument:

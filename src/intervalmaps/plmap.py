@@ -1,12 +1,21 @@
 """Continuous piecewise-linear self-maps of a compact interval.
 
-Evaluation and interval images are exact over rationals. Iterates are analyzed
-through their affine branches: the intervals on which f^n is affine, found by
-cutting each branch of f^(n-1) where it crosses a breakpoint of f. One pass per
+Evaluation and interval images are exact over rationals. Periodic points of f^q
+come from its affine branches: the intervals on which f^q is affine, found by
+cutting each branch of f^(q-1) where it crosses a breakpoint of f. One pass per
 map builds each iterate once: a one-slot cursor keeps the last iterate, so
-requests for ascending n cost one refinement step each, and a request for an
-earlier n restarts from f^1. The pass feeds both certifications: lap counts of
-iterates (hence the entropy estimate) and periodic points of f^q.
+requests for ascending q cost one refinement step each, and a request for an
+earlier q restarts from f^1.
+
+Lap counts of iterates (hence the entropy estimate) need no branches in
+rational mode. L(f^n) is 1 + the number of points whose orbit meets a turning
+point of f within n steps, and the branch count of f^n is the same count for
+all interior breakpoints. Both are sums over a finite graph of open intervals
+whose ends are forward images of breakpoints, so they cost polynomial time in
+n (the kneading-style count of Block, Keesling, Li and Peterson, 1989). The
+branch cap bounds that computed branch count, as it bounds the branches the
+pass builds. Floating mode counts laps in the branch pass, whose rounding its
+results depend on.
 
 In rational mode a branch is four plain ints, numerators over two common
 denominators: its ends over D*L^(n-1) and their f^n values over D*R^(n-1),
@@ -256,24 +265,84 @@ class PLMap:
     def lap_growth(
         self, n_max: int, branch_cap: int = DEFAULT_BRANCH_CAP
     ) -> List[int]:
-        """Lap counts L(1..n_max) of the iterates f^n, by branch refinement.
+        """Lap counts L(1..n_max) of the iterates f^n.
 
-        L(n) counts maximal monotone runs of the affine branches of f^n.
-        Exceeding the branch cap raises BranchBudgetError naming the largest
-        completed n (its .laps holds the completed prefix).
+        L(n) counts the maximal monotone runs of f^n. In rational mode it is
+        1 + the number of points whose orbit meets a turning point of f within
+        n steps, and the branch count of f^n is the same count for all interior
+        breakpoints; both come from the interval graph of _hits, without
+        building any branch. Floating mode counts laps and branches in the
+        branch pass. The first n whose branch count exceeds the cap raises
+        BranchBudgetError naming n - 1 as the largest completed iterate (its
+        .laps holds the completed prefix).
         """
         if n_max < 1:
             raise ValueError("n_max must be >= 1")
-        engine = self._engine
-        try:
-            if n_max > len(engine.laps):
-                engine.advance(n_max, branch_cap)
-            else:
-                engine.check_budget(n_max, branch_cap)
-        except BranchBudgetError as err:
-            done = err.completed_n
-            raise BranchBudgetError(branch_cap, done, engine.laps[:done]) from None
-        return engine.laps[:n_max]
+        if not self.is_exact:
+            return self._engine.lap_growth(n_max, branch_cap)
+        inner = self.breakpoints[1:-1]
+        rising = [s > 0 for s in self.slopes]
+        turning = tuple(b for b, u, w in zip(inner, rising, rising[1:]) if u != w)
+        counts = self._hits(inner, n_max)
+        laps = counts if turning == inner else self._hits(turning, n_max)
+        for n, count in enumerate(counts, 1):
+            if count > branch_cap:
+                raise BranchBudgetError(branch_cap, n - 1, laps[: n - 1])
+        return laps
+
+    def _hits(self, cuts: Tuple[Scalar, ...], n_max: int) -> List[int]:
+        """1 + the number of points of the open domain whose orbit meets cuts
+        within n steps, for n = 1..n_max.
+
+        cuts is a sorted tuple of interior points holding every turning point,
+        so f maps each open piece between consecutive cuts one-to-one onto an
+        open interval. The nodes of the graph are open intervals, the root
+        being the open domain; a node's children are the images of its pieces
+        between the cuts inside it, and equal intervals share one node. With
+        C_0 = 0 and C_k(x) = |cuts in x| + sum of C_(k-1) over x's children,
+        C_k(x) counts the points of x whose orbit meets cuts within k steps.
+        Every node end is an image of a cut or a domain end under at most
+        n_max - 1 steps, so there are at most ((len(cuts) + 2) * n_max)^2
+        nodes; the scalar work is done once per node, and the sums are ints.
+        """
+        image = {c: self.eval(c) for c in cuts}
+        root = (self.breakpoints[0], self.breakpoints[-1])
+        nodes = [root]
+        index = {root: 0}
+        direct: List[int] = []
+        kids: List[List[int]] = []
+        found = []  # found[d]: the number of nodes at depth <= d
+        for depth in range(n_max):
+            start = found[-1] if found else 0
+            found.append(len(nodes))
+            for u, v in nodes[start:]:
+                i, j = bisect_right(cuts, u), bisect_left(cuts, v)
+                direct.append(j - i)
+                if depth == n_max - 1:
+                    continue  # C_1 needs no children
+                for end in (u, v):
+                    if end not in image:
+                        image[end] = self.eval(end)
+                ys = [image[u], *(image[c] for c in cuts[i:j]), image[v]]
+                children = []
+                for a, b in zip(ys, ys[1:]):
+                    key = (a, b) if a < b else (b, a)
+                    k = index.get(key)
+                    if k is None:
+                        k = index[key] = len(nodes)
+                        nodes.append(key)
+                    children.append(k)
+                kids.append(children)
+        totals = direct
+        out = [1 + totals[0]]
+        for k in range(2, n_max + 1):
+            # C_k is needed on the nodes found by depth n_max - k
+            totals = [
+                direct[x] + sum(totals[c] for c in kids[x])
+                for x in range(found[n_max - k])
+            ]
+            out.append(1 + totals[0])
+        return out
 
     # -- periodic points ---------------------------------------------------------
 
@@ -353,9 +422,6 @@ class _ExactIterate:
     def __len__(self) -> int:
         return len(self.lo)
 
-    def laps(self) -> int:
-        return _runs([u < w for u, w in zip(self.flo, self.fhi)])
-
 
 class _FloatIterate:
     """The branches of f^n in floating mode: x -> slope[k]*x + offset[k] on
@@ -369,22 +435,18 @@ class _FloatIterate:
     def __len__(self) -> int:
         return len(self.lo)
 
-    def laps(self) -> int:
-        return _runs([s > 0 for s in self.slope])
-
 
 class _Engine:
     """The pass over the iterates f^1, f^2, ... of one map.
 
     A one-slot cursor keeps the last iterate built: a request for f^q resumes
-    from it, or restarts from f^1 when q is behind it. The branch and lap
-    counts of every iterate built are kept, so the budget check sees all of
-    f^1..f^q under any call order. Subclasses supply the arithmetic.
+    from it, or restarts from f^1 when q is behind it. The branch count of
+    every iterate built is kept, so the budget check sees all of f^1..f^q
+    under any call order. Subclasses supply the arithmetic.
     """
 
     def __init__(self) -> None:
         self.counts: List[int] = []
-        self.laps: List[int] = []
         self.last = None
 
     def check_budget(self, q: int, cap: int) -> None:
@@ -403,8 +465,7 @@ class _Engine:
                 raise BranchBudgetError(cap, 0, [])
         while True:
             if it.n > len(self.counts):
-                self.counts.append(len(it))
-                self.laps.append(it.laps())
+                self.record(it)
             self.last = it
             yield it
             if it.n == q:
@@ -413,6 +474,10 @@ class _Engine:
                 it = self.refine(it, cap)
             except _BranchCapHit:
                 raise BranchBudgetError(cap, it.n, []) from None
+
+    def record(self, it) -> None:
+        """Keep the counts of an iterate built for the first time."""
+        self.counts.append(len(it))
 
     def advance(self, q: int, cap: int):
         for it in self.iterates(q, cap):
@@ -540,6 +605,23 @@ class _FloatEngine(_Engine):
     def __init__(self, f: "PLMap"):
         super().__init__()
         self.bps, self.vals, self.slopes = f.breakpoints, f.values, f.slopes
+        self.laps: List[int] = []
+
+    def record(self, it: _FloatIterate) -> None:
+        super().record(it)
+        self.laps.append(_runs([s > 0 for s in it.slope]))
+
+    def lap_growth(self, n_max: int, cap: int) -> List[int]:
+        """Laps of f^1..f^n_max from the pass (see PLMap.lap_growth)."""
+        try:
+            if n_max > len(self.laps):
+                self.advance(n_max, cap)
+            else:
+                self.check_budget(n_max, cap)
+        except BranchBudgetError as err:
+            done = err.completed_n
+            raise BranchBudgetError(cap, done, self.laps[:done]) from None
+        return self.laps[:n_max]
 
     def first(self) -> _FloatIterate:
         bps, vals, slopes = self.bps, self.vals, self.slopes

@@ -325,3 +325,13 @@ class TestMalformedDocument:
         path = self.rewrite(tmp_path, lambda obj: obj["params"].pop("lambda"))
         with pytest.raises(ValueError, match="lacks field 'lambda'"):
             load_document(str(path))
+
+    def test_identity_iterate_exits_one(self, tmp_path, capsys):
+        """x -> 1 - x: f^2 is the identity, so its fixed points are not isolated."""
+        path = self.rewrite(tmp_path, lambda obj: obj.update(
+            breakpoints=["0/1", "1/1"], values=["1/1", "0/1"], markers=None))
+        capsys.readouterr()
+        assert main(["analyze", str(path), "--type", "3"]) == 1
+        assert capsys.readouterr().err.startswith("error: f^2 is the identity on [0, 1]")
+        assert main(["analyze", str(path), "--entropy", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["entropy"]["laps"] == [1] * 5

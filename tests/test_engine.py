@@ -4,12 +4,18 @@ The reference below is the plain slope/offset refinement in ``Fraction``s: it
 rebuilds f^q from f for every q, solves each branch's fixed point from its
 affine formula, and finds least periods by walking the orbit. It uses nothing
 from ``intervalmaps.plmap`` but the map's breakpoints and values.
+
+Rational lap and branch counts come from the interval graph, not the branch
+engine, so random exact maps check the two against each other as well.
 """
 
+import time
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from intervalmaps import (
     BranchBudgetError,
@@ -174,7 +180,72 @@ def test_inexact_cut_is_caught(f52):
     m = fresh(f52.map)
     m._engine.L = 1  # wrong common denominator: f52's slopes are +-2
     with pytest.raises(ArithmeticError, match="not a multiple"):
-        m.lap_growth(4)
+        m.branches_of_iterate(4)
+
+
+def branch_laps(branches):
+    """Direction runs of an iterate's branches (the branch engine's laps)."""
+    rising = [u < w for u, w in zip(branches.flo, branches.fhi)]
+    return 1 + sum(a != b for a, b in zip(rising, rising[1:]))
+
+
+UNIT = st.fractions(min_value=0, max_value=1, max_denominator=12)
+
+
+@st.composite
+def exact_maps(draw):
+    """Continuous exact self-maps of [0, 1] with 1 to 6 non-constant pieces."""
+    pieces = draw(st.integers(1, 6))
+    inner = draw(st.lists(UNIT.filter(lambda x: 0 < x < 1), min_size=pieces - 1,
+                          max_size=pieces - 1, unique=True))
+    values = draw(st.lists(UNIT, min_size=pieces + 1, max_size=pieces + 1))
+    assume(all(a != b for a, b in zip(values, values[1:])))
+    return PLMap((F(0), *sorted(inner), F(1)), tuple(values))
+
+
+ENGINES_AGREE = settings(derandomize=True, max_examples=100, deadline=None,
+                         suppress_health_check=[HealthCheck.too_slow])
+
+
+@ENGINES_AGREE
+@given(exact_maps())
+def test_interval_graph_matches_branch_engine(m):
+    """Lap and branch counts of f^n from the interval graph against the
+    branch engine, for n <= 8 while f^n has at most 3000 branches."""
+    counts = m._hits(m.breakpoints[1:-1], 8)
+    n_max = max(n for n in range(1, 9) if counts[n - 1] <= 3000)
+    iterates = [m.branches_of_iterate(n) for n in range(1, n_max + 1)]
+    assert counts[:n_max] == [len(it) for it in iterates]
+    assert m.lap_growth(n_max) == [branch_laps(it) for it in iterates]
+
+
+def budget_error(call, n, cap):
+    try:
+        call(n, branch_cap=cap)
+    except BranchBudgetError as err:
+        return err
+    return None
+
+
+@ENGINES_AGREE
+@given(exact_maps(), st.integers(1, 8), st.integers(1, 400))
+def test_budget_errors_agree(m, n, cap):
+    """lap_growth and branches_of_iterate overrun the same cap at the same n."""
+    from_laps = budget_error(m.lap_growth, n, cap)
+    from_branches = budget_error(m.branches_of_iterate, n, cap)
+    assert (from_laps is None) == (from_branches is None)
+    if from_laps is not None:
+        done = from_laps.completed_n
+        assert done == from_branches.completed_n
+        assert from_laps.laps == m.lap_growth(n)[:done]
+
+
+def test_deep_lap_growth(maps):
+    m = fresh(maps["sqrt_sqrt52"])
+    start = time.perf_counter()
+    laps = m.lap_growth(60, branch_cap=10**30)
+    assert time.perf_counter() - start < 0.1
+    assert laps[:14] == [branch_laps(m.branches_of_iterate(n)) for n in range(1, 15)]
 
 
 # Recorded from the per-q float engine this one replaced; floats must not move.
