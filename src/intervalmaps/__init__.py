@@ -26,7 +26,6 @@ from .construct import (
     parse_slope_text,
     square_root,
     stefan_map,
-    typed_map,
 )
 from .covering import (
     EDGE_FULL,
@@ -99,7 +98,6 @@ __all__ = [
     "slope_poly_quotient",
     "square_root",
     "stefan_map",
-    "typed_map",
     "verify_mixing",
     "verify_type",
 ]

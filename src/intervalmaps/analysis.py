@@ -18,13 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .covering import build_covering_graph, primitive_cycle_census
 from .kernel import Scalar, as_scalar, is_exact, scalar_to_str
-from .plmap import (
-    DEFAULT_BRANCH_CAP,
-    BranchBudgetError,
-    Interval,
-    PLMap,
-    PERIOD_TOL,
-)
+from .plmap import DEFAULT_BRANCH_CAP, BranchBudgetError, Interval, PLMap
 from .sharkovskii import SharkovskiiValue, TWO_INF, expected_period_set
 
 COVER_EPS = 1e-9
@@ -97,7 +91,6 @@ def verify_type(
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
-    exact = f.is_exact
     present: Dict[int, Scalar] = {}
     checked = 0
     truncated = False
@@ -113,10 +106,8 @@ def verify_type(
                 present[q] = x
                 break
     for q, x in present.items():
-        y = f.iterate(x, q)
-        ok = y == x if exact else abs(y - x) <= PERIOD_TOL
-        if not ok:
-            raise RuntimeError(f"internal: witness {x!r} for period {q} does not close")
+        if f.return_time(x, q) != q:
+            raise RuntimeError(f"internal: witness {x!r} does not have least period {q}")
 
     horizon = checked if truncated else q_max
     expected = expected_period_set(claimed, q_max)
@@ -146,7 +137,7 @@ def verify_type(
     if partition is not None:
         graph = build_covering_graph(f, partition)
         census = primitive_cycle_census(graph, q_max)
-        boundary_periods = _boundary_periods(f, partition, q_max, exact)
+        boundary_periods = _boundary_periods(f, partition, q_max)
         odd_part = _odd_part(claimed)
         if odd_part is not None and odd_part >= 3:
             boundary_values = set(boundary_periods.values())
@@ -180,23 +171,9 @@ def _odd_part(claimed: SharkovskiiValue) -> Optional[int]:
     return n
 
 
-def _boundary_periods(f, partition, q_max, exact) -> Dict[str, Optional[int]]:
-    points = []
-    for _name, iv in partition:
-        points.extend((iv.lo, iv.hi))
-    out: Dict[str, Optional[int]] = {}
-    for pt in sorted(set(points)):
-        orbit = [pt]
-        for _ in range(q_max):
-            orbit.append(f.eval(orbit[-1]))
-        period = None
-        for j in range(1, q_max + 1):
-            hit = orbit[j] == pt if exact else abs(orbit[j] - pt) <= PERIOD_TOL
-            if hit:
-                period = j
-                break
-        out[scalar_to_str(pt)] = period
-    return out
+def _boundary_periods(f, partition, q_max) -> Dict[str, Optional[int]]:
+    points = {pt for _name, iv in partition for pt in (iv.lo, iv.hi)}
+    return {scalar_to_str(pt): f.return_time(pt, q_max) for pt in sorted(points)}
 
 
 # ---------------------------------------------------------------- entropy

@@ -20,15 +20,9 @@ from .analysis import (
     verify_mixing,
     verify_type,
 )
-from .construct import odd_type_map, parse_slope_text, square_root
+from .construct import ConstructionParams, parse_slope_text
 from .covering import build_covering_graph
-from .document import (
-    MapDocument,
-    document_for,
-    load_document,
-    save_document,
-    write_text_atomic,
-)
+from .document import document_for, load_document, save_document, write_text_atomic
 from .kernel import minimal_slope, scalar_to_str
 from .plmap import DEFAULT_BRANCH_CAP, BranchBudgetError, FixedPointContinuumError
 from .plotsvg import render_map_svg
@@ -86,7 +80,6 @@ def _build_parser() -> _Parser:
         default="2",
         help="slope: 'a/b' or integer (exact), decimal (floating), or 'lambda_p'",
     )
-    c.add_argument("--tol", type=float, default=1e-9, help="floating-mode tolerance")
     c.add_argument(
         "--rescale",
         action=argparse.BooleanOptionalAction,
@@ -131,7 +124,6 @@ def _build_parser() -> _Parser:
     s.add_argument("--mixing-width", default="1/1024")
     s.add_argument("--mixing-grid", type=int, default=16)
     s.add_argument("--mixing-cap", type=int, default=200)
-    s.add_argument("--tol", type=float, default=1e-9)
     s.add_argument("--workers", type=int, default=1)
     s.add_argument("--branch-cap", type=int, default=None)
 
@@ -145,21 +137,13 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------- construct
 
 
-def _construct_document(p, d, slope_text, tol, rescale) -> MapDocument:
-    slope = parse_slope_text(slope_text, p)
-    built = odd_type_map(p, slope, tol)
-    final = built.map
-    for _ in range(d):
-        final = square_root(final, rescale=rescale)
-    return document_for(built, final, d, rescale)
-
-
 def cmd_construct(args) -> int:
-    doc = _construct_document(args.p, args.d, args.slope_text, args.tol, args.rescale)
+    params = ConstructionParams(args.p, args.d, parse_slope_text(args.slope_text, args.p))
+    doc = document_for(params, args.rescale)
     summary = (
-        f"constructed map: type {doc.claimed_type}, "
-        f"target entropy log({scalar_to_str(doc.slope)})/2^{doc.doublings} "
-        f"= {doc.target_entropy:.6f}, {len(doc.breakpoints)} breakpoints"
+        f"constructed map: type {params.type_value}, "
+        f"target entropy log({scalar_to_str(params.slope)})/2^{params.doublings} "
+        f"= {params.target_entropy:.6f}, {len(doc.breakpoints)} breakpoints"
     )
     if args.out:
         save_document(doc, args.out)
@@ -176,8 +160,9 @@ def cmd_construct(args) -> int:
 def cmd_analyze(args) -> int:
     cap = _branch_cap(args)
     doc = load_document(args.path)
+    params = doc.params
     m = doc.plmap()
-    report: dict = {"path": args.path, "type_claim": doc.claimed_type}
+    report: dict = {"path": args.path, "type_claim": params.type_value}
     worst = EXIT_OK
 
     if args.csv_path is not None and args.entropy is None:
@@ -186,7 +171,7 @@ def cmd_analyze(args) -> int:
         raise _UsageError("--graph needs a document with interval markers (d = 0)")
 
     if args.entropy is not None:
-        est = estimate_entropy(m, args.entropy, target=doc.target_entropy, branch_cap=cap)
+        est = estimate_entropy(m, args.entropy, target=params.target_entropy, branch_cap=cap)
         report["entropy"] = est.as_dict()
         if args.csv_path is not None:
             lines = ["n,lap_count,log_ratio"]
@@ -197,7 +182,7 @@ def cmd_analyze(args) -> int:
 
     if args.type_q is not None:
         tr = verify_type(
-            m, doc.claimed_type, args.type_q, partition=doc.partition(), branch_cap=cap
+            m, params.type_value, args.type_q, partition=doc.partition(), branch_cap=cap
         )
         report["type"] = tr.as_dict()
         if tr.verdict == "refuted":
@@ -208,7 +193,7 @@ def cmd_analyze(args) -> int:
 
     if args.mixing is not None:
         width_text, grid_text, cap_text = args.mixing
-        width = parse_slope_text(width_text, doc.p)
+        width = parse_slope_text(width_text, params.p)
         mr = verify_mixing(m, width, int(grid_text), int(cap_text))
         report["mixing"] = mr.as_dict()
         if not mr.all_covered:
@@ -240,8 +225,8 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------- sweep
 
 
-def _sweep_cells(args) -> List[Tuple[int, int, str, float]]:
-    """(p, d, slope text, tol) cells in deterministic order."""
+def _sweep_cells(args) -> List[Tuple[int, int, str]]:
+    """(p, d, slope text) cells in deterministic order."""
     cells = []
     if args.target_entropy:
         min3 = math.log(minimal_slope(3))
@@ -253,7 +238,7 @@ def _sweep_cells(args) -> List[Tuple[int, int, str, float]]:
             while min3 / (2 ** d) > h:
                 d += 1
             slope = math.exp((2 ** d) * h)
-            cells.append((3, d, repr(slope), args.tol))
+            cells.append((3, d, repr(slope)))
         return cells
     ps = [int(x) for x in args.p.split(",") if x.strip()]
     ds = [int(x) for x in args.d.split(",") if x.strip()]
@@ -263,24 +248,25 @@ def _sweep_cells(args) -> List[Tuple[int, int, str, float]]:
     for p in sorted(set(ps)):
         for d in sorted(set(ds)):
             for slope in slopes:
-                cells.append((p, d, slope, args.tol))
+                cells.append((p, d, slope))
     return cells
 
 
 def _run_cell(job) -> Tuple[int, int, str, dict]:
-    (p, d, slope_text, tol, out_dir, entropy_n, type_q,
+    (p, d, slope_text, out_dir, entropy_n, type_q,
      mixing_width, mixing_grid, mixing_cap, cap) = job
     row: dict = {}
     try:
-        doc = _construct_document(p, d, slope_text, tol, rescale=True)
-        slug = scalar_to_str(doc.slope).replace("/", "_")
+        params = ConstructionParams(p, d, parse_slope_text(slope_text, p))
+        doc = document_for(params)
+        slug = scalar_to_str(params.slope).replace("/", "_")
         path = os.path.join(out_dir, f"map_p{p}_d{d}_lam{slug}.json")
         save_document(doc, path)
         m = doc.plmap()
-        est = estimate_entropy(m, entropy_n, target=doc.target_entropy, branch_cap=cap)
-        tr = verify_type(m, doc.claimed_type, type_q, partition=doc.partition(),
+        est = estimate_entropy(m, entropy_n, target=params.target_entropy, branch_cap=cap)
+        tr = verify_type(m, params.type_value, type_q, partition=doc.partition(),
                          branch_cap=cap)
-        row["h_target"] = f"{doc.target_entropy:.6f}"
+        row["h_target"] = f"{params.target_entropy:.6f}"
         row["h_estimate"] = f"{est.h:.6f}"
         row["type_verdict"] = tr.verdict
         if d == 0:
@@ -304,9 +290,9 @@ def cmd_sweep(args) -> int:
     cells = _sweep_cells(args)
     os.makedirs(args.out_dir, exist_ok=True)
     jobs = [
-        (p, d, slope, tol, args.out_dir, args.entropy_n, args.type_q,
+        (p, d, slope, args.out_dir, args.entropy_n, args.type_q,
          args.mixing_width, args.mixing_grid, args.mixing_cap, cap)
-        for (p, d, slope, tol) in cells
+        for (p, d, slope) in cells
     ]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -338,9 +324,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_plot(args) -> int:
     doc = load_document(args.path)
+    params = doc.params
     title = (
-        f"type {doc.claimed_type}, lambda = {scalar_to_str(doc.slope)}, "
-        f"d = {doc.doublings}"
+        f"type {params.type_value}, lambda = {scalar_to_str(params.slope)}, "
+        f"d = {params.doublings}"
     )
     svg = render_map_svg(doc.plmap(), markers=doc.markers, title=title)
     write_text_atomic(args.out, svg)

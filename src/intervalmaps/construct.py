@@ -5,8 +5,9 @@ stefan_map gives the classical minimal-entropy model of odd type p on
 constant-slope map on [0, 1] of odd type p and entropy log(slope): the
 falling segment through the periodic orbit, a block of full tents of summit
 height x_{p-4} plus one shorter cap tent, and a rising ramp from t to 1.
-square_root doubles the type and halves the entropy; typed_map composes the
-two to reach type 2^d * p.
+square_root doubles the type and halves the entropy; document.document_for
+applies it d times to reach type 2^d * p. verify_markers checks a build's
+orbit, ramp start and partition against its map, at build and on load.
 
 Everything is exact when the slope is rational.
 """
@@ -16,8 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
+from .covering import check_partition
 from .kernel import (
     Scalar,
     _require_odd,
@@ -27,7 +29,7 @@ from .kernel import (
     minimal_slope,
     scalar_to_str,
 )
-from .plmap import Interval, PLMap
+from .plmap import FLOAT_EPS, Interval, PLMap
 
 __all__ = [
     "ConstructedMap",
@@ -38,7 +40,7 @@ __all__ = [
     "parse_slope_text",
     "square_root",
     "stefan_map",
-    "typed_map",
+    "verify_markers",
 ]
 
 
@@ -59,8 +61,10 @@ class SlopeBelowMinimumError(ValueError):
 class ConstructionParams:
     """Parameters (p, doublings, slope, tol) for a type 2^d * p build.
 
-    tol only matters in floating mode, where it decides the degenerate
-    collapse of the middle block; rational slopes are validated exactly.
+    The one record of a build's parameters: the CLI validates its arguments
+    here, and a loaded document its params. tol only matters in floating
+    mode, where it decides the degenerate collapse of the middle block;
+    rational slopes are validated exactly.
     """
 
     p: int
@@ -78,7 +82,7 @@ class ConstructionParams:
         object.__setattr__(self, "slope", s)
         val = eval_slope_poly(self.p, s)
         ok = val >= 0 if is_exact(s) else val >= -self.tol
-        if not ok:
+        if not (s > 0 and ok):  # the slope polynomial also vanishes at -1
             raise SlopeBelowMinimumError(self.p, s)
 
     @property
@@ -232,7 +236,7 @@ def odd_type_map(p: int, slope, tol: float = 1e-9) -> ConstructedMap:
     points.append((one, s * (one - t_used)))
 
     m = PLMap(tuple(x for x, _ in points), tuple(v for _, v in points))
-    _verify_build(m, p, s, xs, tents, height, exact)
+    _verify_build(m, s, tents, height, exact)
 
     intervals: Dict[str, Interval] = {}
     intervals["I1"] = _hull(xs[0], xs[1])
@@ -240,6 +244,7 @@ def odd_type_map(p: int, slope, tol: float = 1e-9) -> ConstructedMap:
         intervals[f"I{i}"] = _hull(xs[i - 2], xs[i])
     intervals[f"I{p - 1}"] = Interval(t_used, one)
     intervals.update(tents)
+    verify_markers(m, p, xs, t_used, intervals.items())
 
     return ConstructedMap(
         map=m,
@@ -256,14 +261,11 @@ def _hull(a: Scalar, b: Scalar) -> Interval:
     return Interval(min(a, b), max(a, b))
 
 
-def _verify_build(m, p, s, xs, tents, height, exact) -> None:
+def _verify_build(m, s, tents, height, exact) -> None:
     close = (lambda a, b: a == b) if exact else (lambda a, b: abs(a - b) <= 1e-9)
     report = m.is_constant_slope(s, 0 if exact else 1e-9)
     if not report:
         raise RuntimeError(f"internal: slopes {report.slopes} are not all +-{s}")
-    for i in range(p):
-        if not close(m.eval(xs[i]), xs[(i + 1) % p]):
-            raise RuntimeError(f"internal: orbit point x_{i} does not map forward")
     for name, iv in tents.items():
         if not (close(m.eval(iv.lo), 0) and close(m.eval(iv.hi), 0)):
             raise RuntimeError(f"internal: tent {name} endpoints must map to 0")
@@ -272,6 +274,27 @@ def _verify_build(m, p, s, xs, tents, height, exact) -> None:
             raise RuntimeError(f"internal: tent {name} summit must be {height}")
         if name == "K" and not summit < height:
             raise RuntimeError("internal: cap tent must stay below the full tents")
+
+
+def verify_markers(m: PLMap, p: int, orbit: Sequence[Scalar], t: Scalar,
+                   partition: Iterable[Tuple[str, Interval]]) -> None:
+    """Check a build's markers against its map: orbit is a p-cycle of m
+    (exactly in rational mode, within 1e-9 in floating mode), t lies in the
+    domain and the labeled intervals tile it. Raises ValueError naming the
+    marker."""
+    tol = 0 if m.is_exact else FLOAT_EPS
+    dom = m.domain
+    if len(orbit) != p:
+        raise ValueError(f"marker orbit has {len(orbit)} points, not p = {p}")
+    for i, x in enumerate(orbit):
+        j = (i + 1) % p
+        if not (dom.contains(x) and abs(m.eval(x) - orbit[j]) <= tol):
+            raise ValueError(
+                f"marker orbit[{i}] = {scalar_to_str(x)} does not map to orbit[{j}]"
+            )
+    if not dom.contains(t):
+        raise ValueError(f"marker t = {scalar_to_str(t)} lies outside the domain")
+    check_partition(m, partition, tol)
 
 
 def square_root(f: PLMap, rescale: bool = True) -> PLMap:
@@ -291,15 +314,6 @@ def square_root(f: PLMap, rescale: bool = True) -> PLMap:
     return g.rescaled_to_unit() if rescale else g
 
 
-def typed_map(params: ConstructionParams, rescale: bool = True) -> PLMap:
-    """Map of type 2^d * p and entropy log(slope)/2^d: the odd-type build
-    followed by d square roots."""
-    g = odd_type_map(params.p, params.slope, params.tol).map
-    for _ in range(params.doublings):
-        g = square_root(g, rescale=rescale)
-    return g
-
-
 def parse_slope_text(text: str, p: int, root_tol: float = 1e-12) -> Scalar:
     """Slope argument parser: 'a/b' and bare integers are exact rationals,
     decimals are binary64, and 'lambda_p' resolves the minimal slope for p
@@ -308,7 +322,10 @@ def parse_slope_text(text: str, p: int, root_tol: float = 1e-12) -> Scalar:
     if t.lower() == "lambda_p":
         return minimal_slope(p, root_tol)
     if "/" in t:
-        return Fraction(t)
+        try:
+            return Fraction(t)
+        except ZeroDivisionError:
+            raise ValueError(f"slope {t!r} has a zero denominator") from None
     try:
         return Fraction(int(t))
     except ValueError:

@@ -22,6 +22,7 @@ __all__ = [
     "EDGE_PARTIAL",
     "CoveringGraph",
     "build_covering_graph",
+    "check_partition",
     "primitive_cycle_census",
     "primitive_cycles",
 ]
@@ -76,28 +77,9 @@ def build_covering_graph(
     B, full iff image(A) covers B. Rational mode compares exactly; floating
     mode applies a 1e-9 margin to both tests.
     """
-    items = sorted(partition, key=lambda kv: (kv[1].lo, kv[1].hi))
-    if not items:
-        raise ValueError("empty partition")
-    names = [name for name, _ in items]
-    if len(set(names)) != len(names):
-        raise ValueError("partition labels must be unique")
     if margin is None:
         margin = 0 if f.is_exact else FLOAT_EPS
-
-    def same(a, b):
-        return a == b if margin == 0 else abs(a - b) <= margin
-
-    dom = f.domain
-    if not same(items[0][1].lo, dom.lo) or not same(items[-1][1].hi, dom.hi):
-        raise ValueError("partition does not cover the domain")
-    for (na, a), (nb, b) in zip(items, items[1:]):
-        if not same(a.hi, b.lo):
-            raise ValueError(f"partition gap or overlap between {na} and {nb}")
-    for name, iv in items:
-        if iv.is_degenerate:
-            raise ValueError(f"degenerate partition element {name}")
-
+    items = check_partition(f, partition, margin)
     edges = []
     for name_a, a in items:
         img = f.image(a)
@@ -106,6 +88,30 @@ def build_covering_graph(
                 kind = EDGE_FULL if img.encloses(b, margin) else EDGE_PARTIAL
                 edges.append((name_a, name_b, kind))
     return CoveringGraph(tuple(items), tuple(edges))
+
+
+def check_partition(f: PLMap, partition: Iterable[Tuple[str, Interval]],
+                    margin: float) -> List[Tuple[str, Interval]]:
+    """The partition in domain order, once it is checked to tile f's domain:
+    uniquely labeled, non-degenerate closed intervals whose ends meet (within
+    margin) and reach both ends of the domain. Raises ValueError naming the
+    offending element."""
+    items = sorted(partition, key=lambda kv: (kv[1].lo, kv[1].hi))
+    if not items:
+        raise ValueError("empty partition")
+    names = [name for name, _ in items]
+    if len(set(names)) != len(names):
+        raise ValueError("partition labels must be unique")
+    dom = f.domain
+    if abs(items[0][1].lo - dom.lo) > margin or abs(items[-1][1].hi - dom.hi) > margin:
+        raise ValueError("partition does not cover the domain")
+    for (na, a), (nb, b) in zip(items, items[1:]):
+        if abs(a.hi - b.lo) > margin:
+            raise ValueError(f"partition gap or overlap between {na} and {nb}")
+    for name, iv in items:
+        if iv.is_degenerate:
+            raise ValueError(f"degenerate partition element {name}")
+    return items
 
 
 def primitive_cycles(graph: CoveringGraph, max_len: int) -> List[Tuple[str, ...]]:

@@ -3,7 +3,10 @@
 The on-disk form is versioned ("interval-map/1"), has sorted keys, and writes
 every scalar through the canonical text form (lowest-terms 'num/den' for
 rationals, shortest round-trip decimals for floats), so serializing a loaded
-document reproduces it byte for byte and documents diff cleanly.
+document reproduces it byte for byte and documents diff cleanly. A loaded
+document is checked as a construction: its params pass ConstructionParams and
+its markers are re-verified against its map. document_for is the one builder
+from ConstructionParams to a document.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from . import __version__
-from .construct import ConstructedMap
+from .construct import ConstructionParams, odd_type_map, square_root, verify_markers
 from .kernel import Scalar, is_exact, scalar_from_str, scalar_to_str
 from .plmap import Interval, PLMap
 
@@ -35,12 +38,9 @@ __all__ = [
 
 @dataclass
 class MapDocument:
-    """A constructed map plus parameters, markers and provenance."""
+    """A constructed map plus its build parameters, markers and provenance."""
 
-    p: int
-    doublings: int
-    slope: Scalar
-    tol: float
+    params: ConstructionParams
     rescale: bool
     breakpoints: Tuple[Scalar, ...]
     values: Tuple[Scalar, ...]
@@ -52,17 +52,7 @@ class MapDocument:
 
     @property
     def mode(self) -> str:
-        return "rational" if is_exact(self.slope) else "floating"
-
-    @property
-    def claimed_type(self) -> int:
-        return (2 ** self.doublings) * self.p
-
-    @property
-    def target_entropy(self) -> float:
-        import math
-
-        return math.log(float(self.slope)) / (2 ** self.doublings)
+        return "rational" if is_exact(self.params.slope) else "floating"
 
     def partition(self) -> Optional[List[Tuple[str, Interval]]]:
         if not self.markers:
@@ -87,11 +77,11 @@ class MapDocument:
         return {
             "format": FORMAT_ID,
             "params": {
-                "p": self.p,
-                "d": self.doublings,
-                "lambda": scalar_to_str(self.slope),
+                "p": self.params.p,
+                "d": self.params.doublings,
+                "lambda": scalar_to_str(self.params.slope),
                 "mode": self.mode,
-                "tol": self.tol,
+                "tol": self.params.tol,
                 "rescale": self.rescale,
             },
             "breakpoints": [scalar_to_str(b) for b in self.breakpoints],
@@ -105,6 +95,9 @@ class MapDocument:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MapDocument":
+        """Parse a document and check it as a construction: its params must
+        pass ConstructionParams, its breakpoints form a map, and its markers,
+        if any, belong to a d = 0 build and pass verify_markers."""
         fmt = obj.get("format") if isinstance(obj, dict) else None
         if fmt != FORMAT_ID:
             raise ValueError(f"unsupported document format {fmt!r}")
@@ -112,35 +105,36 @@ class MapDocument:
         if not isinstance(params, dict):
             raise ValueError("document field 'params' is missing or not an object")
         try:
-            return cls._from_fields(obj, params)
+            markers = obj.get("markers")
+            if markers is not None:
+                markers = {
+                    "orbit": [scalar_from_str(x) for x in markers["orbit"]],
+                    "t": scalar_from_str(markers["t"]),
+                    "intervals": {
+                        name: (scalar_from_str(lo), scalar_from_str(hi))
+                        for name, (lo, hi) in markers["intervals"].items()
+                    },
+                }
+            doc = cls(
+                params=ConstructionParams(
+                    int(params["p"]), int(params["d"]),
+                    scalar_from_str(params["lambda"]), float(params["tol"]),
+                ),
+                rescale=bool(params["rescale"]),
+                breakpoints=tuple(scalar_from_str(b) for b in obj["breakpoints"]),
+                values=tuple(scalar_from_str(v) for v in obj["values"]),
+                markers=markers,
+                provenance=dict(obj["provenance"]),
+            )
         except KeyError as exc:
             raise ValueError(f"document lacks field {exc}") from None
-
-    @classmethod
-    def _from_fields(cls, obj: dict, params: dict) -> "MapDocument":
-        markers = obj.get("markers")
-        parsed_markers = None
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed document: {exc}") from None
+        m = doc.plmap()  # a loaded document must validate as a map
         if markers is not None:
-            parsed_markers = {
-                "orbit": [scalar_from_str(x) for x in markers["orbit"]],
-                "t": scalar_from_str(markers["t"]),
-                "intervals": {
-                    name: (scalar_from_str(lo), scalar_from_str(hi))
-                    for name, (lo, hi) in markers["intervals"].items()
-                },
-            }
-        doc = cls(
-            p=int(params["p"]),
-            doublings=int(params["d"]),
-            slope=scalar_from_str(params["lambda"]),
-            tol=float(params["tol"]),
-            rescale=bool(params["rescale"]),
-            breakpoints=tuple(scalar_from_str(b) for b in obj["breakpoints"]),
-            values=tuple(scalar_from_str(v) for v in obj["values"]),
-            markers=parsed_markers,
-            provenance=dict(obj["provenance"]),
-        )
-        doc.plmap()  # a loaded document must validate as a map
+            if doc.params.doublings != 0:
+                raise ValueError("markers belong to d = 0 documents only")
+            verify_markers(m, doc.params.p, markers["orbit"], markers["t"], doc.partition())
         return doc
 
     @classmethod
@@ -148,17 +142,17 @@ class MapDocument:
         return cls.from_dict(json.loads(text))
 
 
-def document_for(
-    built: ConstructedMap,
-    final_map: PLMap,
-    doublings: int,
-    rescale: bool,
-) -> MapDocument:
-    """Document for a finished build. Markers are carried only when the final
-    map IS the base construction (no doublings); the square-root conjugacy
-    does not preserve them."""
+def document_for(params: ConstructionParams, rescale: bool = True) -> MapDocument:
+    """Build the map params describe, of type 2^d * p and entropy
+    log(slope) / 2^d: the odd-type map followed by d square roots. Markers
+    are carried only when d = 0; the square-root conjugacy does not preserve
+    them."""
+    built = odd_type_map(params.p, params.slope, params.tol)
+    final = built.map
+    for _ in range(params.doublings):
+        final = square_root(final, rescale=rescale)
     markers = None
-    if doublings == 0:
+    if params.doublings == 0:
         markers = {
             "orbit": list(built.orbit),
             "t": built.t,
@@ -167,13 +161,10 @@ def document_for(
             },
         }
     return MapDocument(
-        p=built.params.p,
-        doublings=doublings,
-        slope=built.params.slope,
-        tol=built.params.tol,
+        params=params,
         rescale=rescale,
-        breakpoints=final_map.breakpoints,
-        values=final_map.values,
+        breakpoints=final.breakpoints,
+        values=final.values,
         markers=markers,
         provenance={
             "created": datetime.datetime.now(datetime.timezone.utc).isoformat(

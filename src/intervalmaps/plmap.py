@@ -37,14 +37,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import ne
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .kernel import Scalar, as_scalar, is_exact
 
 # Floating-mode tolerances; exact mode never consults them.
 FLOAT_EPS = 1e-9        # domain slack when clamping float points / intervals
 MERGE_TOL = 1e-12       # duplicate fixed points at shared branch endpoints
-PERIOD_TOL = 1e-9       # least-period verification
+PERIOD_TOL = 1e-9       # return times of float orbits
 
 DEFAULT_BRANCH_CAP = 10_000_000
 
@@ -356,7 +356,7 @@ class PLMap:
         the branch ends, and its least period is the least divisor j of q with
         the point in Fix(f^j), recorded as the pass goes by f^j. In floating
         mode it is solved from the branch's slope and offset, duplicates within
-        1e-12 are merged, and least periods come from the orbit. A branch on
+        1e-12 are merged, and least periods are return times. A branch on
         which f^q is the identity raises FixedPointContinuumError.
         """
         engine = self._engine
@@ -372,7 +372,13 @@ class PLMap:
             ) from None
         if self.is_exact:
             return list(zip(points, engine.least_periods(points, q)))
-        return [(x, self._least_period(x, q)) for x in points]
+        out = []
+        for x in points:
+            j = self.return_time(x, q)
+            if j is None:
+                raise RuntimeError(f"point {x!r} failed to close up after {q} steps")
+            out.append((x, j))
+        return out
 
     def _itinerary(self, x: Scalar, q: int) -> Tuple[int, ...]:
         """Piece index of f at each of the first q points of x's orbit."""
@@ -382,14 +388,16 @@ class PLMap:
             x = self.eval(x)
         return tuple(out)
 
-    def _least_period(self, x: Scalar, q: int) -> int:
-        orbit = [x]
-        for _ in range(q):
-            orbit.append(self.eval(orbit[-1]))
-        for j in _divisors(q):
-            if abs(orbit[j] - x) <= PERIOD_TOL:
+    def return_time(self, x: Scalar, n: int) -> Optional[int]:
+        """The least j <= n with f^j(x) = x (within PERIOD_TOL in floating
+        mode), or None."""
+        tol = 0 if self.is_exact else PERIOD_TOL
+        y = x
+        for j in range(1, n + 1):
+            y = self.eval(y)
+            if abs(y - x) <= tol:
                 return j
-        raise RuntimeError(f"point {x!r} failed to close up after {q} steps")
+        return None
 
     # -- conjugacy helpers -------------------------------------------------------
 

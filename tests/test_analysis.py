@@ -120,9 +120,10 @@ class TestEntropy:
         assert est.gap < 0.05
 
     def test_double_root_quarters_entropy(self):
-        from intervalmaps import ConstructionParams, typed_map
+        from intervalmaps import ConstructionParams
+        from intervalmaps.document import document_for
 
-        m = typed_map(ConstructionParams(5, 2, F(2)))
+        m = document_for(ConstructionParams(5, 2, F(2))).plmap()
         est = estimate_entropy(m, 28, target=math.log(2) / 4)
         assert est.gap < 0.05
         report = verify_type(m, 20, 12)

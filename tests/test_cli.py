@@ -32,7 +32,7 @@ class TestConstruct:
         assert code == 0
         captured = capsys.readouterr()
         doc = MapDocument.from_json(captured.out)
-        assert doc.p == 3
+        assert doc.params.p == 3
         assert "type 3" in captured.err
 
     def test_doubling_summary(self, tmp_path, capsys):
@@ -49,6 +49,24 @@ class TestConstruct:
         err = capsys.readouterr().err
         assert "1.618033988750" in err  # names the minimum to 12 digits
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--d", "-1"], "doublings must be a nonnegative integer, got -1"),
+        (["--lambda", "0"], "slope 0/1 is below the minimal admissible slope"),
+        (["--lambda", "-2"], "slope -2/1 is below the minimal admissible slope"),
+        (["--lambda", "-1"], "slope -1/1 is below the minimal admissible slope"),
+        (["--lambda", "1/0"], "zero denominator"),
+    ])
+    def test_bad_params_exit_one(self, tmp_path, capsys, extra, message):
+        out = tmp_path / "x.json"
+        assert main(["construct", "--p", "3", *extra, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    def test_tol_flag_removed(self, capsys):
+        assert main(["construct", "--p", "5", "--lambda", "1.5", "--tol", "1"]) == 1
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
     def test_lambda_p_keyword(self, tmp_path):
         path = construct(tmp_path, "--p", "3", "--lambda", "lambda_p")
         doc = load_document(str(path))
@@ -64,7 +82,7 @@ class TestConstruct:
         path = construct(tmp_path, "--p", "3", "--d", "1", "--lambda", "2")
         doc = load_document(str(path))
         assert doc.markers is None
-        assert doc.claimed_type == 6
+        assert doc.params.type_value == 6
 
 
 class TestAnalyze:
@@ -121,8 +139,10 @@ class TestAnalyze:
         path = construct(tmp_path, "--p", "5", "--lambda", "2")
         capsys.readouterr()
         # tamper with the claimed type: pretend the document is a doubled map
+        # (which carries no markers)
         obj = json.loads(path.read_text())
         obj["params"]["d"] = 1
+        obj["markers"] = None
         path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
         code = main(["analyze", str(path), "--type", "6"])
         assert code == 2
@@ -325,6 +345,34 @@ class TestMalformedDocument:
         path = self.rewrite(tmp_path, lambda obj: obj["params"].pop("lambda"))
         with pytest.raises(ValueError, match="lacks field 'lambda'"):
             load_document(str(path))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("p", 4, "p must be an odd integer >= 3, got 4"),
+        ("d", -1, "doublings must be a nonnegative integer, got -1"),
+    ])
+    def test_bad_params_exit_one(self, tmp_path, capsys, field, value, message):
+        path = self.rewrite(tmp_path, lambda obj: obj["params"].update({field: value}))
+        capsys.readouterr()
+        assert main(["analyze", str(path), "--type", "5"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_mistyped_field_exits_one(self, tmp_path, capsys):
+        path = self.rewrite(tmp_path, lambda obj: obj["params"].update(p=None))
+        capsys.readouterr()
+        assert main(["analyze", str(path), "--type", "3"]) == 1
+        assert capsys.readouterr().err.startswith("error: malformed document: ")
+
+    def test_bad_orbit_exits_one(self, tmp_path, capsys):
+        path = self.rewrite(tmp_path, lambda obj: obj["markers"].update(
+            orbit=["1/7", "2/7", "3/7"]))
+        capsys.readouterr()
+        message = "error: marker orbit[0] = 1/7 does not map to orbit[1]\n"
+        assert main(["analyze", str(path), "--type", "5"]) == 1
+        assert capsys.readouterr().err == message
+        svg = tmp_path / "m.svg"
+        assert main(["plot", str(path), "--out", str(svg)]) == 1
+        assert capsys.readouterr().err == message
+        assert not svg.exists()
 
     def test_identity_iterate_exits_one(self, tmp_path, capsys):
         """x -> 1 - x: f^2 is the identity, so its fixed points are not isolated."""

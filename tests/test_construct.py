@@ -17,8 +17,8 @@ from intervalmaps import (
     parse_slope_text,
     square_root,
     stefan_map,
-    typed_map,
 )
+from intervalmaps.document import document_for
 
 F = Fraction
 
@@ -203,12 +203,12 @@ class TestSquareRoot:
 
     def test_typed_map_d0_is_base(self, f32):
         params = ConstructionParams(3, 0, F(2))
-        assert typed_map(params) == f32.map
+        assert document_for(params).plmap() == f32.map
 
     def test_typed_map_domains(self):
         params = ConstructionParams(3, 2, F(2))
-        assert typed_map(params).domain.as_tuple() == (0, 1)
-        raw = typed_map(params, rescale=False)
+        assert document_for(params).plmap().domain.as_tuple() == (0, 1)
+        raw = document_for(params, rescale=False).plmap()
         assert raw.breakpoints[-1] == 9
 
 

@@ -11,6 +11,7 @@ from intervalmaps import (
     FixedPointContinuumError,
     Interval,
     PLMap,
+    odd_type_map,
     stefan_map,
 )
 
@@ -225,6 +226,20 @@ class TestPeriodicPoints:
     def test_least_periods_divide(self, f32):
         for x, lp in f32.map.periodic_points(6):
             assert 6 % lp == 0
+
+    def test_return_time_is_least_period(self, f32):
+        for x, lp in f32.map.periodic_points(6):
+            assert f32.map.return_time(x, 6) == lp
+
+    def test_return_time_bounded_by_n(self, f52):
+        assert f52.map.return_time(F(0), 4) is None
+        assert f52.map.return_time(F(0), 5) == 5
+
+    def test_return_time_float_tolerance(self):
+        built = odd_type_map(5, 1.9)
+        x = built.orbit[0]
+        assert built.map.return_time(x, 5) == 5
+        assert built.map.return_time(x + 1e-6, 5) is None
 
 
 class TestConstantSlope:
