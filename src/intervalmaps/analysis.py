@@ -6,7 +6,8 @@ partition is supplied it adds a covering-graph certificate (cycle census plus
 a direct period check of the partition boundary points, which is the only way
 a periodic orbit can evade the graph argument). estimate_entropy reads the
 lap growth of iterates. verify_mixing iterates exact interval images until
-they fill the whole domain.
+they fill the whole domain; the seeds' orbits merge, so a trace stops at the
+first image an earlier covering trace passed, whose first cover time is known.
 """
 
 from __future__ import annotations
@@ -296,6 +297,15 @@ def mixing_trace(
     n is None if the cap is reached first. Rational mode demands exact
     equality; floating mode accepts covering up to 1e-9 at each end.
     """
+    return _first_cover(f, seed, cap, {})
+
+
+def _first_cover(
+    f: PLMap, seed: Interval, cap: int, known: Dict[Interval, int]
+) -> Tuple[Optional[int], List[Interval]]:
+    """mixing_trace, cut short at the first image whose first cover time r
+    is in known: if that image comes at step k, the answer is k + r (None
+    past cap) and the images listed are those before it."""
     dom = f.domain
     exact = f.is_exact and is_exact(seed.lo) and is_exact(seed.hi)
     if _covers_domain(seed, dom, exact):
@@ -304,6 +314,9 @@ def mixing_trace(
     cur = seed
     for n in range(1, cap + 1):
         cur = f.image(cur)
+        r = known.get(cur)
+        if r is not None:
+            return (n + r if n + r <= cap else None), images
         images.append(cur)
         if _covers_domain(cur, dom, exact):
             return n, images
@@ -317,6 +330,9 @@ def verify_mixing(
 
     Seeds of the given width are centered at (2i+1)/(2*grid) across the
     domain (clipped to it). Failures at the cap are recorded, not raised.
+    The seeds' orbits merge, so each image a covering trace passes is kept
+    with its exact first cover time, and a later trace stops at the first
+    such image it meets. The first cover times are those of mixing_trace.
     """
     w = as_scalar(seed_width)
     if not w > 0:
@@ -330,11 +346,18 @@ def verify_mixing(
     span = dom.hi - dom.lo
     seeds: List[Interval] = []
     firsts: List[Optional[int]] = []
+    # image -> first cover time. Every trace of one call applies the same
+    # cover test: with a float width, only a seed clipped to the whole domain
+    # has exact ends, and it covers at once without images.
+    known: Dict[Interval, int] = {}
     for i in range(grid):
         frac = Fraction(2 * i + 1, 2 * grid) if exact else (2 * i + 1) / (2 * grid)
         center = dom.lo + span * frac
         seed = Interval(max(dom.lo, center - w / 2), min(dom.hi, center + w / 2))
-        n, _ = mixing_trace(f, seed, cap)
+        n, images = _first_cover(f, seed, cap, known)
+        if n is not None:
+            for k, img in enumerate(images, 1):
+                known[img] = n - k
         seeds.append(seed)
         firsts.append(n)
     hits = [n for n in firsts if n is not None]

@@ -162,12 +162,13 @@ def cmd_analyze(args) -> int:
     doc = load_document(args.path)
     params = doc.params
     m = doc.plmap()
+    partition = doc.partition()
     report: dict = {"path": args.path, "type_claim": params.type_value}
     worst = EXIT_OK
 
     if args.csv_path is not None and args.entropy is None:
         raise _UsageError("--csv requires --entropy")
-    if args.graph is not None and doc.partition() is None:
+    if args.graph is not None and partition is None:
         raise _UsageError("--graph needs a document with interval markers (d = 0)")
 
     if args.entropy is not None:
@@ -182,7 +183,7 @@ def cmd_analyze(args) -> int:
 
     if args.type_q is not None:
         tr = verify_type(
-            m, params.type_value, args.type_q, partition=doc.partition(), branch_cap=cap
+            m, params.type_value, args.type_q, partition=partition, branch_cap=cap
         )
         report["type"] = tr.as_dict()
         if tr.verdict == "refuted":
@@ -208,7 +209,7 @@ def cmd_analyze(args) -> int:
             worst = max(worst, EXIT_REFUTED)
 
     if args.graph is not None:
-        graph = build_covering_graph(m, doc.partition())
+        graph = build_covering_graph(m, partition)
         write_text_atomic(args.graph, graph.to_dot())
         report["graph"] = {
             "dot_path": args.graph,
@@ -237,7 +238,13 @@ def _sweep_cells(args) -> List[Tuple[int, int, str]]:
             d = 0
             while min3 / (2 ** d) > h:
                 d += 1
-            slope = math.exp((2 ** d) * h)
+            try:
+                slope = math.exp((2 ** d) * h)
+            except OverflowError:
+                raise _UsageError(
+                    f"target entropy {part.strip()} is too large: "
+                    f"exp(2^{d} * h) overflows"
+                ) from None
             cells.append((3, d, repr(slope)))
         return cells
     ps = [int(x) for x in args.p.split(",") if x.strip()]

@@ -23,6 +23,7 @@ from .covering import check_partition
 from .kernel import (
     Scalar,
     _require_odd,
+    _within,
     as_scalar,
     eval_slope_poly,
     is_exact,
@@ -288,7 +289,7 @@ def verify_markers(m: PLMap, p: int, orbit: Sequence[Scalar], t: Scalar,
         raise ValueError(f"marker orbit has {len(orbit)} points, not p = {p}")
     for i, x in enumerate(orbit):
         j = (i + 1) % p
-        if not (dom.contains(x) and abs(m.eval(x) - orbit[j]) <= tol):
+        if not (dom.contains(x) and _within(m.eval(x), orbit[j], tol)):
             raise ValueError(
                 f"marker orbit[{i}] = {scalar_to_str(x)} does not map to orbit[{j}]"
             )

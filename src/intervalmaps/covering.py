@@ -5,13 +5,17 @@ covering the domain. The graph has an arrow A -> B whenever the image of A
 meets the interior of B; the arrow is full when the image covers all of B,
 partial otherwise. Primitive cycles (closed edge-walks not obtained by
 repeating a shorter one, counted up to rotation) certify absence of periods.
+The census counts them by a trace formula on the adjacency matrix;
+primitive_cycles lists them by depth-first search and is its check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from .kernel import _within
 from .plmap import FLOAT_EPS, Interval, PLMap
 
 EDGE_FULL = "full"
@@ -103,10 +107,11 @@ def check_partition(f: PLMap, partition: Iterable[Tuple[str, Interval]],
     if len(set(names)) != len(names):
         raise ValueError("partition labels must be unique")
     dom = f.domain
-    if abs(items[0][1].lo - dom.lo) > margin or abs(items[-1][1].hi - dom.hi) > margin:
+    first, last = items[0][1], items[-1][1]
+    if not (_within(first.lo, dom.lo, margin) and _within(last.hi, dom.hi, margin)):
         raise ValueError("partition does not cover the domain")
     for (na, a), (nb, b) in zip(items, items[1:]):
-        if abs(a.hi - b.lo) > margin:
+        if not _within(a.hi, b.lo, margin):
             raise ValueError(f"partition gap or overlap between {na} and {nb}")
     for name, iv in items:
         if iv.is_degenerate:
@@ -154,11 +159,44 @@ def primitive_cycles(graph: CoveringGraph, max_len: int) -> List[Tuple[str, ...]
 
 
 def primitive_cycle_census(graph: CoveringGraph, max_len: int) -> Dict[int, int]:
-    """Counts of primitive cycles (up to rotation) for each length <= max_len."""
-    census = {length: 0 for length in range(1, max_len + 1)}
-    for cyc in primitive_cycles(graph, max_len):
-        census[len(cyc)] += 1
-    return census
+    """Counts of primitive cycles (up to rotation) for each length <= max_len.
+
+    Necklace counting: with A the 0/1 adjacency matrix, tr(A^d) counts the
+    closed walks of length d, and Moebius inversion over the divisors of n
+    leaves the primitive ones, n rotations each, so the count of length n is
+    (1/n) * sum over d | n of mu(n/d) * tr(A^d). primitive_cycles lists the
+    same cycles by search."""
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    labels = graph.labels()
+    index = {name: i for i, name in enumerate(labels)}
+    size = len(labels)
+    adj = [[0] * size for _ in labels]
+    for a, b, _kind in graph.edges:
+        adj[index[a]][index[b]] = 1
+    columns = list(zip(*adj))
+    traces = [0]  # traces[d] = tr(A^d)
+    power = adj
+    for _ in range(max_len):
+        traces.append(sum(power[i][i] for i in range(size)))
+        power = [[sum(map(mul, row, col)) for col in columns] for row in power]
+    return {
+        n: sum(_moebius(n // d) * traces[d] for d in range(1, n + 1) if n % d == 0) // n
+        for n in range(1, max_len + 1)
+    }
+
+
+def _moebius(n: int) -> int:
+    """The Moebius function mu(n), by trial division."""
+    result, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            result = -result
+        d += 1
+    return -result if n > 1 else result
 
 
 def _is_canonical(seq: Tuple[int, ...]) -> bool:

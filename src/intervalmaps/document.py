@@ -134,6 +134,12 @@ class MapDocument:
         if markers is not None:
             if doc.params.doublings != 0:
                 raise ValueError("markers belong to d = 0 documents only")
+            for name, (lo, hi) in markers["intervals"].items():
+                if lo > hi:
+                    raise ValueError(
+                        f"marker interval {name} = [{scalar_to_str(lo)}, "
+                        f"{scalar_to_str(hi)}] has its ends out of order"
+                    )
             verify_markers(m, doc.params.p, markers["orbit"], markers["t"], doc.partition())
         return doc
 

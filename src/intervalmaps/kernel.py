@@ -51,6 +51,11 @@ def is_exact(x: Scalar) -> bool:
     return isinstance(x, Fraction)
 
 
+def _within(x: Scalar, y: Scalar, tol) -> bool:
+    """|x - y| <= tol; a tol of 0 is an equality test, with no subtraction."""
+    return x == y if not tol else abs(x - y) <= tol
+
+
 def scalar_to_str(x: Scalar) -> str:
     """Canonical text form: 'num/den' in lowest terms, or shortest round-trip decimal."""
     if isinstance(x, Fraction):

@@ -21,7 +21,9 @@ In rational mode a branch is four plain ints, numerators over two common
 denominators: its ends over D*L^(n-1) and their f^n values over D*R^(n-1),
 where D is the lcm of the denominators of the breakpoints and values and L, R
 are the lcms of the slopes' numerators and denominators. Fixed points are the
-sign changes of f^q(x) - x between branch ends. Floating mode carries each
+sign changes of f^q(x) - x between branch ends, kept as reduced (num, den) int
+pairs: least periods are looked up in the Fix(f^j) sets of these pairs, and a
+Fraction is built only for the returned list. Floating mode carries each
 branch's slope and offset in binary64. No itinerary is stored; an error that
 names one recomputes it from a point's orbit.
 
@@ -107,6 +109,8 @@ class Interval:
         return (self.lo + self.hi) / 2
 
     def contains(self, x: Scalar, slack=0) -> bool:
+        if not slack:  # spares two Fraction additions
+            return self.lo <= x <= self.hi
         return self.lo - slack <= x <= self.hi + slack
 
     def encloses(self, other: "Interval", slack=0) -> bool:
@@ -371,7 +375,8 @@ class PLMap:
                 f"f^{q} is the identity on [{lo}, {hi}] (itinerary {itinerary})"
             ) from None
         if self.is_exact:
-            return list(zip(points, engine.least_periods(points, q)))
+            periods = engine.least_periods(points, q)
+            return [(Fraction(*x), j) for x, j in zip(points, periods)]
         out = []
         for x in points:
             j = self.return_time(x, q)
@@ -564,24 +569,30 @@ class _ExactEngine(_Engine):
                 raise _BranchCapHit()
         return _ExactIterate(it.n + 1, lo, hi, flo, fhi)
 
-    def fixed_points(self, it: _ExactIterate) -> List[Fraction]:
-        """Fix(f^n) in domain order: where f^n(x) - x changes sign on a branch."""
+    def fixed_points(self, it: _ExactIterate) -> List[Tuple[int, int]]:
+        """Fix(f^n) in domain order: where f^n(x) - x changes sign on a branch.
+        Each point is a reduced pair (num, den) with den > 0, so equal points
+        are equal pairs."""
         sx, sy = self.L ** (it.n - 1), self.R ** (it.n - 1)
         X = self.D * sx
-        out: List[Fraction] = []
+        out: List[Tuple[int, int]] = []
         for P, Q, U, W in zip(it.lo, it.hi, it.flo, it.fhi):
             g0 = U * sx - P * sy  # (f^n(x) - x) * D*sx*sy at the branch ends
             g1 = W * sx - Q * sy
             if g0 == 0:
                 if g1 == 0:
                     raise _IdentityBranch(Fraction(P, X), Fraction(Q, X))
-                x = Fraction(P, X)
+                num, den = P, X
             elif g1 == 0:
-                x = Fraction(Q, X)
+                num, den = Q, X
             elif (g0 < 0) != (g1 < 0):
-                x = Fraction(P * (g0 - g1) + (Q - P) * g0, X * (g0 - g1))
+                num, den = P * (g0 - g1) + (Q - P) * g0, X * (g0 - g1)
+                if den < 0:
+                    num, den = -num, -den
             else:
                 continue
+            g = math.gcd(num, den)
+            x = (num // g, den // g)
             if not out or x != out[-1]:  # a shared branch end comes twice
                 out.append(x)
         return out
@@ -596,10 +607,10 @@ class _ExactEngine(_Engine):
                 except _IdentityBranch:
                     pass  # then f^q is the identity there too, and says so
 
-    def least_periods(self, points: List[Fraction], q: int) -> List[int]:
+    def least_periods(self, points: List[Tuple[int, int]], q: int) -> List[int]:
         self.fixed[q] = set(points)
-        proper = _divisors(q)[:-1]
-        return [next((j for j in proper if x in self.fixed[j]), q) for x in points]
+        proper = [(j, self.fixed[j]) for j in _divisors(q)[:-1]]
+        return [next((j for j, fix in proper if x in fix), q) for x in points]
 
 
 class _FloatEngine(_Engine):

@@ -190,6 +190,24 @@ class TestMixing:
         report = verify_mixing(built.map, 2.0 ** -10, 16, 200)
         assert report.all_covered
 
+    @pytest.mark.parametrize("name, width, grid, cap", [
+        ("f32", F(1, 1024), 64, 200),
+        ("f52", F(1, 1024), 64, 200),
+        ("f72", F(1, 1024), 64, 200),
+        # max_n is 16 at cap 200: six seeds reach a known image whose
+        # first cover lands past 15, and must report None
+        ("f72", F(1, 1024), 64, 15),
+        ("sqrt32", F(1, 1024), 16, 40),  # not mixing: no trace covers
+        ("f52", 2.0 ** -10, 64, 200),  # float seeds on a rational map
+        ("float", 2.0 ** -10, 64, 200),
+    ])
+    def test_first_cover_matches_traces(self, request, name, width, grid, cap):
+        m = odd_type_map(5, 1.9) if name == "float" else request.getfixturevalue(name)
+        m = getattr(m, "map", m)
+        report = verify_mixing(m, width, grid, cap)
+        traced = tuple(mixing_trace(m, seed, cap)[0] for seed in report.seeds)
+        assert report.first_cover == traced
+
     def test_validation(self, f32):
         with pytest.raises(ValueError):
             verify_mixing(f32.map, F(0), 4, 10)

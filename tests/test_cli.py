@@ -222,6 +222,13 @@ class TestSweep:
         assert math.exp(2 * 0.3) == pytest.approx(float(lam))
         assert abs(float(h_estimate) - 0.3) < 0.05
 
+    def test_target_entropy_overflow_usage_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "big"
+        code = main(["sweep", "--target-entropy", "1000", "--out-dir", str(out_dir)])
+        assert code == 1
+        assert "usage error: target entropy 1000 is too large" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_empty_grid_usage_error(self, tmp_path, capsys):
         code = main(["sweep", "--p", "", "--out-dir", str(tmp_path / "x")])
         assert code == 1

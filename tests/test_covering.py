@@ -1,10 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intervalmaps import (
     EDGE_FULL,
     EDGE_PARTIAL,
+    CoveringGraph,
     Interval,
     build_covering_graph,
     primitive_cycle_census,
@@ -12,6 +15,14 @@ from intervalmaps import (
 )
 
 F = Fraction
+
+
+def census_by_search(graph, max_len):
+    """The census from the depth-first listing of primitive_cycles."""
+    census = {length: 0 for length in range(1, max_len + 1)}
+    for cycle in primitive_cycles(graph, max_len):
+        census[len(cycle)] += 1
+    return census
 
 
 def census_by_trace_formula(graph, max_len):
@@ -159,7 +170,8 @@ class TestCycles:
     def test_census_matches_trace_formula(self, which, request):
         built = request.getfixturevalue(which)
         g = build_covering_graph(built.map, built.partition())
-        assert primitive_cycle_census(g, 9) == census_by_trace_formula(g, 9)
+        census = primitive_cycle_census(g, 9)
+        assert census == census_by_trace_formula(g, 9) == census_by_search(g, 9)
 
     def test_rotation_canonicalization(self, graph52):
         cycles = primitive_cycles(graph52, 6)
@@ -167,6 +179,24 @@ class TestCycles:
         for cyc in cycles:
             rotations = [cyc[i:] + cyc[:i] for i in range(len(cyc))]
             assert cyc == min(rotations)
+
+
+@st.composite
+def digraphs(draw):
+    """A CoveringGraph on 1-6 vertices with at most nine arrows, loops allowed,
+    so primitive_cycles can list every cycle up to length 10."""
+    size = draw(st.integers(1, 6))
+    arrows = draw(st.sets(
+        st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)), max_size=9))
+    vertices = tuple((f"v{i}", Interval(F(i), F(i + 1))) for i in range(size))
+    edges = tuple((f"v{a}", f"v{b}", EDGE_FULL) for a, b in sorted(arrows))
+    return CoveringGraph(vertices, edges)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(digraphs(), st.integers(1, 10))
+def test_census_counts_searched_cycles(graph, max_len):
+    assert primitive_cycle_census(graph, max_len) == census_by_search(graph, max_len)
 
 
 class TestDot:

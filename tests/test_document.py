@@ -76,6 +76,8 @@ class TestMarkerCheck:
         (lambda mk: mk.update(orbit=mk["orbit"][:4]), "marker orbit has 4 points"),
         (lambda mk: mk.update(t="3/2"), "marker t = 3/2 lies outside the domain"),
         (lambda mk: mk["intervals"].update(K=["3/4", "4/5"]), "gap or overlap between K"),
+        (lambda mk: mk["intervals"].update(K=["4/5", "3/4"]),
+         r"marker interval K = \[4/5, 3/4\] has its ends out of order"),
         (lambda mk: mk["intervals"].pop("I1"), "partition"),
     ])
     def test_bad_marker_is_named(self, edit, message):
