@@ -20,6 +20,7 @@ from .analysis import (
 from .construct import (
     ConstructedMap,
     ConstructionParams,
+    Markers,
     SlopeBelowMinimumError,
     odd_type_map,
     orbit_and_t,
@@ -53,6 +54,7 @@ from .plmap import (
     BranchBudgetError,
     FixedPointContinuumError,
     Interval,
+    OrbitNotClosedError,
     PLMap,
     SlopeReport,
 )
@@ -69,7 +71,9 @@ __all__ = [
     "FixedPointContinuumError",
     "IntPolynomial",
     "Interval",
+    "Markers",
     "MixingReport",
+    "OrbitNotClosedError",
     "PLMap",
     "Scalar",
     "SlopeBelowMinimumError",

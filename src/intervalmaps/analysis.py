@@ -7,7 +7,8 @@ a direct period check of the partition boundary points, which is the only way
 a periodic orbit can evade the graph argument). estimate_entropy reads the
 lap growth of iterates. verify_mixing iterates exact interval images until
 they fill the whole domain; the seeds' orbits merge, so a trace stops at the
-first image an earlier covering trace passed, whose first cover time is known.
+first image an earlier trace settled, or at a repeat of its own, which never
+covers.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .covering import build_covering_graph, primitive_cycle_census
-from .kernel import Scalar, as_scalar, is_exact, scalar_to_str
+from .kernel import FLOAT_TOL, Scalar, as_scalar, is_exact, scalar_to_str
 from .plmap import DEFAULT_BRANCH_CAP, BranchBudgetError, Interval, PLMap
 from .sharkovskii import SharkovskiiValue, TWO_INF, expected_period_set
 
-COVER_EPS = 1e-9
 DEFAULT_Q_MAX = 13  # comfortable for the slope-2 family
 
 __all__ = [
@@ -285,7 +285,7 @@ class MixingReport:
 def _covers_domain(img: Interval, dom: Interval, exact: bool) -> bool:
     if exact:
         return img.lo == dom.lo and img.hi == dom.hi
-    return img.lo <= dom.lo + COVER_EPS and img.hi >= dom.hi - COVER_EPS
+    return img.lo <= dom.lo + FLOAT_TOL and img.hi >= dom.hi - FLOAT_TOL
 
 
 def mixing_trace(
@@ -295,17 +295,9 @@ def mixing_trace(
 
     Returns (first n with f^n(seed) = domain, the list of images f^1..);
     n is None if the cap is reached first. Rational mode demands exact
-    equality; floating mode accepts covering up to 1e-9 at each end.
+    equality; floating mode accepts covering up to FLOAT_TOL at each end.
+    This plain loop is the reference for verify_mixing.
     """
-    return _first_cover(f, seed, cap, {})
-
-
-def _first_cover(
-    f: PLMap, seed: Interval, cap: int, known: Dict[Interval, int]
-) -> Tuple[Optional[int], List[Interval]]:
-    """mixing_trace, cut short at the first image whose first cover time r
-    is in known: if that image comes at step k, the answer is k + r (None
-    past cap) and the images listed are those before it."""
     dom = f.domain
     exact = f.is_exact and is_exact(seed.lo) and is_exact(seed.hi)
     if _covers_domain(seed, dom, exact):
@@ -314,13 +306,40 @@ def _first_cover(
     cur = seed
     for n in range(1, cap + 1):
         cur = f.image(cur)
-        r = known.get(cur)
-        if r is not None:
-            return (n + r if n + r <= cap else None), images
         images.append(cur)
         if _covers_domain(cur, dom, exact):
             return n, images
     return None, images
+
+
+def _first_cover(
+    f: PLMap, seed: Interval, cap: int, known: Dict[Interval, float]
+) -> Optional[int]:
+    """mixing_trace's first cover time, cut short by known, a table of image
+    -> first cover time (math.inf: never). An image met at step n with time
+    r gives n + r, None past cap. A new image enters known as inf, so a
+    repeat within the trace, a cycle that never covers, gives None too; it
+    gets its true time when the trace ends, or leaves known at the cap."""
+    dom = f.domain
+    exact = f.is_exact and is_exact(seed.lo) and is_exact(seed.hi)
+    if _covers_domain(seed, dom, exact):
+        return 0
+    images: List[Interval] = []
+    cur = seed
+    for n in range(1, cap + 1):
+        cur = f.image(cur)
+        r = known.get(cur)
+        if r is None and _covers_domain(cur, dom, exact):
+            r = 0
+        if r is not None:  # cur first covers r steps after step n
+            for k, img in enumerate(images, 1):
+                known[img] = n - k + r
+            return n + r if n + r <= cap else None
+        known[cur] = math.inf
+        images.append(cur)
+    for img in images:  # not settled: their times exceed what the cap allowed
+        del known[img]
+    return None
 
 
 def verify_mixing(
@@ -330,9 +349,9 @@ def verify_mixing(
 
     Seeds of the given width are centered at (2i+1)/(2*grid) across the
     domain (clipped to it). Failures at the cap are recorded, not raised.
-    The seeds' orbits merge, so each image a covering trace passes is kept
-    with its exact first cover time, and a later trace stops at the first
-    such image it meets. The first cover times are those of mixing_trace.
+    The seeds' orbits merge, so each image a trace settles is kept with its
+    first cover time (or as never covering), and a later trace stops at it.
+    The first cover times are those of mixing_trace.
     """
     w = as_scalar(seed_width)
     if not w > 0:
@@ -349,17 +368,13 @@ def verify_mixing(
     # image -> first cover time. Every trace of one call applies the same
     # cover test: with a float width, only a seed clipped to the whole domain
     # has exact ends, and it covers at once without images.
-    known: Dict[Interval, int] = {}
+    known: Dict[Interval, float] = {}
     for i in range(grid):
         frac = Fraction(2 * i + 1, 2 * grid) if exact else (2 * i + 1) / (2 * grid)
         center = dom.lo + span * frac
         seed = Interval(max(dom.lo, center - w / 2), min(dom.hi, center + w / 2))
-        n, images = _first_cover(f, seed, cap, known)
-        if n is not None:
-            for k, img in enumerate(images, 1):
-                known[img] = n - k
         seeds.append(seed)
-        firsts.append(n)
+        firsts.append(_first_cover(f, seed, cap, known))
     hits = [n for n in firsts if n is not None]
     return MixingReport(
         seed_width=w,

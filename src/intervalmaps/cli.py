@@ -24,7 +24,12 @@ from .construct import ConstructionParams, parse_slope_text
 from .covering import build_covering_graph
 from .document import document_for, load_document, save_document, write_text_atomic
 from .kernel import minimal_slope, scalar_to_str
-from .plmap import DEFAULT_BRANCH_CAP, BranchBudgetError, FixedPointContinuumError
+from .plmap import (
+    DEFAULT_BRANCH_CAP,
+    BranchBudgetError,
+    FixedPointContinuumError,
+    OrbitNotClosedError,
+)
 from .plotsvg import render_map_svg
 
 EXIT_OK = 0
@@ -143,7 +148,7 @@ def cmd_construct(args) -> int:
     summary = (
         f"constructed map: type {params.type_value}, "
         f"target entropy log({scalar_to_str(params.slope)})/2^{params.doublings} "
-        f"= {params.target_entropy:.6f}, {len(doc.breakpoints)} breakpoints"
+        f"= {params.target_entropy:.6f}, {len(doc.map.breakpoints)} breakpoints"
     )
     if args.out:
         save_document(doc, args.out)
@@ -161,8 +166,8 @@ def cmd_analyze(args) -> int:
     cap = _branch_cap(args)
     doc = load_document(args.path)
     params = doc.params
-    m = doc.plmap()
-    partition = doc.partition()
+    m = doc.map
+    partition = doc.markers.partition() if doc.markers else None
     report: dict = {"path": args.path, "type_claim": params.type_value}
     worst = EXIT_OK
 
@@ -235,6 +240,8 @@ def _sweep_cells(args) -> List[Tuple[int, int, str]]:
             h = float(part)
             if not h > 0:
                 raise _UsageError("target entropies must be positive")
+            if not math.isfinite(h):
+                raise _UsageError(f"target entropy {part.strip()} is not finite")
             d = 0
             while min3 / (2 ** d) > h:
                 d += 1
@@ -269,10 +276,10 @@ def _run_cell(job) -> Tuple[int, int, str, dict]:
         slug = scalar_to_str(params.slope).replace("/", "_")
         path = os.path.join(out_dir, f"map_p{p}_d{d}_lam{slug}.json")
         save_document(doc, path)
-        m = doc.plmap()
+        m = doc.map
         est = estimate_entropy(m, entropy_n, target=params.target_entropy, branch_cap=cap)
-        tr = verify_type(m, params.type_value, type_q, partition=doc.partition(),
-                         branch_cap=cap)
+        partition = doc.markers.partition() if doc.markers else None
+        tr = verify_type(m, params.type_value, type_q, partition=partition, branch_cap=cap)
         row["h_target"] = f"{params.target_entropy:.6f}"
         row["h_estimate"] = f"{est.h:.6f}"
         row["type_verdict"] = tr.verdict
@@ -336,7 +343,7 @@ def cmd_plot(args) -> int:
         f"type {params.type_value}, lambda = {scalar_to_str(params.slope)}, "
         f"d = {params.doublings}"
     )
-    svg = render_map_svg(doc.plmap(), markers=doc.markers, title=title)
+    svg = render_map_svg(doc.map, markers=doc.markers, title=title)
     write_text_atomic(args.out, svg)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -364,7 +371,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BranchBudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, OSError, FixedPointContinuumError) as exc:
+    except (ValueError, OSError, FixedPointContinuumError, OrbitNotClosedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

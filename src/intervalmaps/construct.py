@@ -6,10 +6,12 @@ constant-slope map on [0, 1] of odd type p and entropy log(slope): the
 falling segment through the periodic orbit, a block of full tents of summit
 height x_{p-4} plus one shorter cap tent, and a rising ramp from t to 1.
 square_root doubles the type and halves the entropy; document.document_for
-applies it d times to reach type 2^d * p. verify_markers checks a build's
-orbit, ramp start and partition against its map, at build and on load.
+applies it d times to reach type 2^d * p. ConstructionParams records a
+build's inputs and Markers its certification markers, which verify_markers
+checks against the map at build and on load.
 
-Everything is exact when the slope is rational.
+Everything is exact when the slope is rational; floating mode compares within
+the kernel's FLOAT_TOL.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .covering import check_partition
 from .kernel import (
     Scalar,
     _require_odd,
+    _tolerance,
     _within,
     as_scalar,
     eval_slope_poly,
@@ -30,11 +33,12 @@ from .kernel import (
     minimal_slope,
     scalar_to_str,
 )
-from .plmap import FLOAT_EPS, Interval, PLMap
+from .plmap import Interval, PLMap
 
 __all__ = [
     "ConstructedMap",
     "ConstructionParams",
+    "Markers",
     "SlopeBelowMinimumError",
     "odd_type_map",
     "orbit_and_t",
@@ -60,30 +64,25 @@ class SlopeBelowMinimumError(ValueError):
 
 @dataclass(frozen=True)
 class ConstructionParams:
-    """Parameters (p, doublings, slope, tol) for a type 2^d * p build.
+    """Parameters (p, doublings, slope) for a type 2^d * p build.
 
     The one record of a build's parameters: the CLI validates its arguments
-    here, and a loaded document its params. tol only matters in floating
-    mode, where it decides the degenerate collapse of the middle block;
-    rational slopes are validated exactly.
+    here, and a loaded document its params. A rational slope is checked
+    against the minimal one exactly, a floating one within FLOAT_TOL.
     """
 
     p: int
     doublings: int = 0
     slope: Scalar = 2
-    tol: float = 1e-9
 
     def __post_init__(self):
         _require_odd(self.p)
         if not isinstance(self.doublings, int) or self.doublings < 0:
             raise ValueError(f"doublings must be a nonnegative integer, got {self.doublings!r}")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
         s = as_scalar(self.slope)
         object.__setattr__(self, "slope", s)
-        val = eval_slope_poly(self.p, s)
-        ok = val >= 0 if is_exact(s) else val >= -self.tol
-        if not (s > 0 and ok):  # the slope polynomial also vanishes at -1
+        # s > 0 first: the slope polynomial also vanishes at -1
+        if not (s > 0 and eval_slope_poly(self.p, s) >= -_tolerance(is_exact(s))):
             raise SlopeBelowMinimumError(self.p, s)
 
     @property
@@ -96,25 +95,31 @@ class ConstructionParams:
 
 
 @dataclass(frozen=True)
-class ConstructedMap:
-    """A built map together with its certification markers.
+class Markers:
+    """The certification markers of an odd-type build.
 
     orbit is the period-p cycle (orbit[i] maps to orbit[(i+1) % p]); t is the
     start of the final rising ramp; intervals holds the labeled
     pseudo-partition pieces I1..I(p-1), J1..Jk and the cap K when present.
     """
 
-    map: PLMap
     orbit: Tuple[Scalar, ...]
     t: Scalar
     intervals: Dict[str, Interval]
-    params: ConstructionParams
-    full_tents: int       # number of full-height tents (k)
-    middle_length: Scalar  # t - 1/slope (0 when the block is collapsed)
 
     def partition(self) -> List[Tuple[str, Interval]]:
         """The labeled pseudo-partition in spatial order."""
         return sorted(self.intervals.items(), key=lambda kv: (kv[1].lo, kv[1].hi))
+
+
+@dataclass(frozen=True)
+class ConstructedMap:
+    """A built map together with its certification markers."""
+
+    map: PLMap
+    markers: Markers
+    full_tents: int       # number of full-height tents (k)
+    middle_length: Scalar  # t - 1/slope (0 when the block is collapsed)
 
 
 def stefan_map(p: int) -> PLMap:
@@ -141,7 +146,7 @@ def stefan_map(p: int) -> PLMap:
     return PLMap(tuple(Fraction(x) for x in xs), tuple(Fraction(seen[x]) for x in xs))
 
 
-def orbit_and_t(p: int, slope, tol: float = 1e-9) -> Tuple[Tuple[Scalar, ...], Scalar]:
+def orbit_and_t(p: int, slope) -> Tuple[Tuple[Scalar, ...], Scalar]:
     """Periodic orbit coordinates x_0..x_{p-1} and the ramp start t.
 
     For i <= p-4, x_i = ((-1)^i / s^(p-i-2)) * sum_{j=0}^{p-i-3} (-s)^j; the
@@ -149,11 +154,12 @@ def orbit_and_t(p: int, slope, tol: float = 1e-9) -> Tuple[Tuple[Scalar, ...], S
     t = (s^(p-1) - sum_{j=0}^{p-3} (-s)^j) / s^(p-1).
     The returned values are re-verified against the defining relations
     x_{i+1} = 1 - s*x_i and x_0 = s*(1 - t) and against the required ordering;
-    t < 1/s (beyond tol in floating mode) means the slope is below minimal.
+    t < 1/s (beyond FLOAT_TOL when floating) means the slope is below minimal.
     """
     _require_odd(p)
     s = as_scalar(slope)
     exact = is_exact(s)
+    tol = _tolerance(exact)
     one: Scalar = Fraction(1) if exact else 1.0
     xs: List[Scalar] = [one] * p
     for i in range(p - 3):  # i = 0 .. p-4
@@ -164,20 +170,18 @@ def orbit_and_t(p: int, slope, tol: float = 1e-9) -> Tuple[Tuple[Scalar, ...], S
     xs[p - 1] = one
     t = (s ** (p - 1) - sum((-s) ** j for j in range(p - 2))) / s ** (p - 1)
 
-    gap = t - xs[p - 3]
-    if (gap < 0) if exact else (gap < -tol):
+    if t - xs[p - 3] < -tol:
         raise SlopeBelowMinimumError(p, s)
 
-    _verify_orbit_system(p, s, xs, t, exact)
+    _verify_orbit_system(p, s, xs, t, tol)
     return tuple(xs), t
 
 
-def _verify_orbit_system(p, s, xs, t, exact) -> None:
-    close = (lambda a, b: a == b) if exact else (lambda a, b: abs(a - b) <= 1e-9)
+def _verify_orbit_system(p, s, xs, t, tol) -> None:
     for i in range(p - 3):
-        if not close(xs[i + 1], 1 - s * xs[i]):
+        if not _within(xs[i + 1], 1 - s * xs[i], tol):
             raise RuntimeError(f"internal: orbit relation broken at i={i}")
-    if not close(xs[0], s * (1 - t)):
+    if not _within(xs[0], s * (1 - t), tol):
         raise RuntimeError("internal: ramp relation broken")
     chain = list(range(p - 2, 0, -2)) + list(range(0, p - 2, 2))
     for a, b in zip(chain, chain[1:]):
@@ -187,7 +191,7 @@ def _verify_orbit_system(p, s, xs, t, exact) -> None:
         raise RuntimeError("internal: t must stay below 1")
 
 
-def odd_type_map(p: int, slope, tol: float = 1e-9) -> ConstructedMap:
+def odd_type_map(p: int, slope) -> ConstructedMap:
     """Constant-slope map of odd type p on [0, 1] with entropy log(slope).
 
     Shape: slope -s from (0, 1) down to (1/s, 0); on [1/s, t] a block of k
@@ -195,16 +199,17 @@ def odd_type_map(p: int, slope, tol: float = 1e-9) -> ConstructedMap:
     tent on K; slope +s from (t, 0) up to (1, s*(1-t)). At the minimal slope
     t collapses onto 1/s and the middle block disappears.
     """
-    xs, t = orbit_and_t(p, slope, tol)
+    xs, t = orbit_and_t(p, slope)
     s = as_scalar(slope)
     exact = is_exact(s)
+    tol = _tolerance(exact)
     zero: Scalar = Fraction(0) if exact else 0.0
     one: Scalar = Fraction(1) if exact else 1.0
     inv = one / s
     height = xs[p - 4] if p > 3 else one
     ell = t - inv
 
-    collapsed = (ell <= 0) if exact else (ell <= tol)
+    collapsed = ell <= tol
     points: List[Tuple[Scalar, Scalar]] = [(zero, one), (inv, zero)]
     tents: Dict[str, Interval] = {}
     if collapsed:
@@ -224,8 +229,7 @@ def odd_type_map(p: int, slope, tol: float = 1e-9) -> ConstructedMap:
             tents[f"J{i}"] = Interval(left, right)
             left = right
         cap_width = t_used - left
-        degenerate_cap = (cap_width == 0) if exact else (cap_width <= tol)
-        if degenerate_cap:
+        if cap_width <= tol:  # exactly 0 in rational mode
             if k > 0 and points[-1][0] != t_used:
                 # reuse t as the last tent's right edge (floating round-off)
                 points[-1] = (t_used, zero)
@@ -237,7 +241,7 @@ def odd_type_map(p: int, slope, tol: float = 1e-9) -> ConstructedMap:
     points.append((one, s * (one - t_used)))
 
     m = PLMap(tuple(x for x, _ in points), tuple(v for _, v in points))
-    _verify_build(m, s, tents, height, exact)
+    _verify_build(m, s, tents, height)
 
     intervals: Dict[str, Interval] = {}
     intervals["I1"] = _hull(xs[0], xs[1])
@@ -245,45 +249,36 @@ def odd_type_map(p: int, slope, tol: float = 1e-9) -> ConstructedMap:
         intervals[f"I{i}"] = _hull(xs[i - 2], xs[i])
     intervals[f"I{p - 1}"] = Interval(t_used, one)
     intervals.update(tents)
-    verify_markers(m, p, xs, t_used, intervals.items())
+    markers = Markers(tuple(xs), t_used, intervals)
+    verify_markers(m, p, markers)
 
-    return ConstructedMap(
-        map=m,
-        orbit=tuple(xs),
-        t=t_used,
-        intervals=intervals,
-        params=ConstructionParams(p, 0, s, tol),
-        full_tents=k,
-        middle_length=ell_used,
-    )
+    return ConstructedMap(map=m, markers=markers, full_tents=k, middle_length=ell_used)
 
 
 def _hull(a: Scalar, b: Scalar) -> Interval:
     return Interval(min(a, b), max(a, b))
 
 
-def _verify_build(m, s, tents, height, exact) -> None:
-    close = (lambda a, b: a == b) if exact else (lambda a, b: abs(a - b) <= 1e-9)
-    report = m.is_constant_slope(s, 0 if exact else 1e-9)
+def _verify_build(m, s, tents, height) -> None:
+    tol = m.tol
+    report = m.is_constant_slope(s, tol)
     if not report:
         raise RuntimeError(f"internal: slopes {report.slopes} are not all +-{s}")
     for name, iv in tents.items():
-        if not (close(m.eval(iv.lo), 0) and close(m.eval(iv.hi), 0)):
+        if not (_within(m.eval(iv.lo), 0, tol) and _within(m.eval(iv.hi), 0, tol)):
             raise RuntimeError(f"internal: tent {name} endpoints must map to 0")
         summit = m.eval(iv.mid)
-        if name.startswith("J") and not close(summit, height):
+        if name.startswith("J") and not _within(summit, height, tol):
             raise RuntimeError(f"internal: tent {name} summit must be {height}")
         if name == "K" and not summit < height:
             raise RuntimeError("internal: cap tent must stay below the full tents")
 
 
-def verify_markers(m: PLMap, p: int, orbit: Sequence[Scalar], t: Scalar,
-                   partition: Iterable[Tuple[str, Interval]]) -> None:
-    """Check a build's markers against its map: orbit is a p-cycle of m
-    (exactly in rational mode, within 1e-9 in floating mode), t lies in the
-    domain and the labeled intervals tile it. Raises ValueError naming the
-    marker."""
-    tol = 0 if m.is_exact else FLOAT_EPS
+def verify_markers(m: PLMap, p: int, markers: Markers) -> None:
+    """Check a build's markers against its map: the orbit is a p-cycle of m
+    (within m.tol), t lies in the domain and the labeled intervals tile it.
+    Raises ValueError naming the marker."""
+    orbit, t, tol = markers.orbit, markers.t, m.tol
     dom = m.domain
     if len(orbit) != p:
         raise ValueError(f"marker orbit has {len(orbit)} points, not p = {p}")
@@ -295,7 +290,7 @@ def verify_markers(m: PLMap, p: int, orbit: Sequence[Scalar], t: Scalar,
             )
     if not dom.contains(t):
         raise ValueError(f"marker t = {scalar_to_str(t)} lies outside the domain")
-    check_partition(m, partition, tol)
+    check_partition(m, markers.intervals.items())
 
 
 def square_root(f: PLMap, rescale: bool = True) -> PLMap:
@@ -315,13 +310,13 @@ def square_root(f: PLMap, rescale: bool = True) -> PLMap:
     return g.rescaled_to_unit() if rescale else g
 
 
-def parse_slope_text(text: str, p: int, root_tol: float = 1e-12) -> Scalar:
+def parse_slope_text(text: str, p: int) -> Scalar:
     """Slope argument parser: 'a/b' and bare integers are exact rationals,
     decimals are binary64, and 'lambda_p' resolves the minimal slope for p
-    numerically (to root_tol)."""
+    numerically (to minimal_slope's default bracket width)."""
     t = text.strip()
     if t.lower() == "lambda_p":
-        return minimal_slope(p, root_tol)
+        return minimal_slope(p)
     if "/" in t:
         try:
             return Fraction(t)

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .kernel import _within
-from .plmap import FLOAT_EPS, Interval, PLMap
+from .plmap import Interval, PLMap
 
 EDGE_FULL = "full"
 EDGE_PARTIAL = "partial"
@@ -42,15 +42,6 @@ class CoveringGraph:
     def labels(self) -> List[str]:
         return [name for name, _ in self.vertices]
 
-    def successors(self, label: str, kinds=(EDGE_FULL, EDGE_PARTIAL)) -> List[str]:
-        return [b for a, b, kind in self.edges if a == label and kind in kinds]
-
-    def edge_kind(self, a: str, b: str) -> Optional[str]:
-        for u, v, kind in self.edges:
-            if u == a and v == b:
-                return kind
-        return None
-
     def without_vertex(self, label: str) -> "CoveringGraph":
         """Subgraph with one vertex (and its incident edges) removed."""
         return CoveringGraph(
@@ -71,19 +62,16 @@ class CoveringGraph:
 
 
 def build_covering_graph(
-    f: PLMap,
-    partition: Iterable[Tuple[str, Interval]],
-    margin: Optional[float] = None,
+    f: PLMap, partition: Iterable[Tuple[str, Interval]]
 ) -> CoveringGraph:
     """Covering graph of f over a labeled pseudo-partition of its domain.
 
     Edges come from exact images: A -> B iff image(A) meets the interior of
-    B, full iff image(A) covers B. Rational mode compares exactly; floating
-    mode applies a 1e-9 margin to both tests.
+    B, full iff image(A) covers B. Both tests allow the map's tol: none in
+    rational mode, FLOAT_TOL in floating mode.
     """
-    if margin is None:
-        margin = 0 if f.is_exact else FLOAT_EPS
-    items = check_partition(f, partition, margin)
+    margin = f.tol
+    items = check_partition(f, partition)
     edges = []
     for name_a, a in items:
         img = f.image(a)
@@ -94,12 +82,14 @@ def build_covering_graph(
     return CoveringGraph(tuple(items), tuple(edges))
 
 
-def check_partition(f: PLMap, partition: Iterable[Tuple[str, Interval]],
-                    margin: float) -> List[Tuple[str, Interval]]:
+def check_partition(
+    f: PLMap, partition: Iterable[Tuple[str, Interval]]
+) -> List[Tuple[str, Interval]]:
     """The partition in domain order, once it is checked to tile f's domain:
     uniquely labeled, non-degenerate closed intervals whose ends meet (within
-    margin) and reach both ends of the domain. Raises ValueError naming the
-    offending element."""
+    the map's tol) and reach both ends of the domain. Raises ValueError
+    naming the offending element."""
+    margin = f.tol
     items = sorted(partition, key=lambda kv: (kv[1].lo, kv[1].hi))
     if not items:
         raise ValueError("empty partition")

@@ -4,8 +4,9 @@ The on-disk form is versioned ("interval-map/1"), has sorted keys, and writes
 every scalar through the canonical text form (lowest-terms 'num/den' for
 rationals, shortest round-trip decimals for floats), so serializing a loaded
 document reproduces it byte for byte and documents diff cleanly. A loaded
-document is checked as a construction: its params pass ConstructionParams and
-its markers are re-verified against its map. document_for is the one builder
+document is checked as a construction: its "tol" must be FLOAT_TOL, its
+params pass ConstructionParams and its markers are re-verified against its
+map; it keeps that map and those Markers. document_for is the one builder
 from ConstructionParams to a document.
 """
 
@@ -16,11 +17,11 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from . import __version__
-from .construct import ConstructionParams, odd_type_map, square_root, verify_markers
-from .kernel import Scalar, is_exact, scalar_from_str, scalar_to_str
+from .construct import ConstructionParams, Markers, odd_type_map, square_root, verify_markers
+from .kernel import FLOAT_TOL, is_exact, scalar_from_str, scalar_to_str
 from .plmap import Interval, PLMap
 
 FORMAT_ID = "interval-map/1"
@@ -36,42 +37,29 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MapDocument:
     """A constructed map plus its build parameters, markers and provenance."""
 
     params: ConstructionParams
     rescale: bool
-    breakpoints: Tuple[Scalar, ...]
-    values: Tuple[Scalar, ...]
-    markers: Optional[dict]  # {"orbit": [...], "t": Scalar, "intervals": {name: (lo, hi)}}
+    map: PLMap
+    markers: Optional[Markers]
     provenance: dict
-
-    def plmap(self) -> PLMap:
-        return PLMap(self.breakpoints, self.values)
 
     @property
     def mode(self) -> str:
         return "rational" if is_exact(self.params.slope) else "floating"
 
-    def partition(self) -> Optional[List[Tuple[str, Interval]]]:
-        if not self.markers:
-            return None
-        items = [
-            (name, Interval(lo, hi))
-            for name, (lo, hi) in self.markers["intervals"].items()
-        ]
-        return sorted(items, key=lambda kv: (kv[1].lo, kv[1].hi))
-
     def to_dict(self) -> dict:
         markers = None
         if self.markers is not None:
             markers = {
-                "orbit": [scalar_to_str(x) for x in self.markers["orbit"]],
-                "t": scalar_to_str(self.markers["t"]),
+                "orbit": [scalar_to_str(x) for x in self.markers.orbit],
+                "t": scalar_to_str(self.markers.t),
                 "intervals": {
-                    name: [scalar_to_str(lo), scalar_to_str(hi)]
-                    for name, (lo, hi) in self.markers["intervals"].items()
+                    name: [scalar_to_str(iv.lo), scalar_to_str(iv.hi)]
+                    for name, iv in self.markers.intervals.items()
                 },
             }
         return {
@@ -81,11 +69,11 @@ class MapDocument:
                 "d": self.params.doublings,
                 "lambda": scalar_to_str(self.params.slope),
                 "mode": self.mode,
-                "tol": self.params.tol,
+                "tol": FLOAT_TOL,
                 "rescale": self.rescale,
             },
-            "breakpoints": [scalar_to_str(b) for b in self.breakpoints],
-            "values": [scalar_to_str(v) for v in self.values],
+            "breakpoints": [scalar_to_str(b) for b in self.map.breakpoints],
+            "values": [scalar_to_str(v) for v in self.map.values],
             "markers": markers,
             "provenance": dict(self.provenance),
         }
@@ -95,9 +83,9 @@ class MapDocument:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MapDocument":
-        """Parse a document and check it as a construction: its params must
-        pass ConstructionParams, its breakpoints form a map, and its markers,
-        if any, belong to a d = 0 build and pass verify_markers."""
+        """Parse a document and check it as a construction: its tol is
+        FLOAT_TOL, its params pass ConstructionParams, its breakpoints form a
+        map, and its markers, if any, belong to d = 0 and pass verify_markers."""
         fmt = obj.get("format") if isinstance(obj, dict) else None
         if fmt != FORMAT_ID:
             raise ValueError(f"unsupported document format {fmt!r}")
@@ -105,42 +93,31 @@ class MapDocument:
         if not isinstance(params, dict):
             raise ValueError("document field 'params' is missing or not an object")
         try:
+            if params["tol"] != FLOAT_TOL:
+                raise ValueError(
+                    f"document field 'tol' must be {FLOAT_TOL!r}, got {params['tol']!r}"
+                )
             markers = obj.get("markers")
-            if markers is not None:
-                markers = {
-                    "orbit": [scalar_from_str(x) for x in markers["orbit"]],
-                    "t": scalar_from_str(markers["t"]),
-                    "intervals": {
-                        name: (scalar_from_str(lo), scalar_from_str(hi))
-                        for name, (lo, hi) in markers["intervals"].items()
-                    },
-                }
             doc = cls(
                 params=ConstructionParams(
-                    int(params["p"]), int(params["d"]),
-                    scalar_from_str(params["lambda"]), float(params["tol"]),
+                    int(params["p"]), int(params["d"]), scalar_from_str(params["lambda"])
                 ),
                 rescale=bool(params["rescale"]),
-                breakpoints=tuple(scalar_from_str(b) for b in obj["breakpoints"]),
-                values=tuple(scalar_from_str(v) for v in obj["values"]),
-                markers=markers,
+                map=PLMap(
+                    tuple(scalar_from_str(b) for b in obj["breakpoints"]),
+                    tuple(scalar_from_str(v) for v in obj["values"]),
+                ),
+                markers=None if markers is None else _markers_from_dict(markers),
                 provenance=dict(obj["provenance"]),
             )
         except KeyError as exc:
             raise ValueError(f"document lacks field {exc}") from None
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"malformed document: {exc}") from None
-        m = doc.plmap()  # a loaded document must validate as a map
-        if markers is not None:
+        if doc.markers is not None:
             if doc.params.doublings != 0:
                 raise ValueError("markers belong to d = 0 documents only")
-            for name, (lo, hi) in markers["intervals"].items():
-                if lo > hi:
-                    raise ValueError(
-                        f"marker interval {name} = [{scalar_to_str(lo)}, "
-                        f"{scalar_to_str(hi)}] has its ends out of order"
-                    )
-            verify_markers(m, doc.params.p, markers["orbit"], markers["t"], doc.partition())
+            verify_markers(doc.map, doc.params.p, doc.markers)
         return doc
 
     @classmethod
@@ -148,30 +125,35 @@ class MapDocument:
         return cls.from_dict(json.loads(text))
 
 
+def _markers_from_dict(obj: dict) -> Markers:
+    """Markers from their document form; names a reversed marker interval."""
+    intervals = {}
+    for name, (lo, hi) in obj["intervals"].items():
+        lo, hi = scalar_from_str(lo), scalar_from_str(hi)
+        if lo > hi:
+            raise ValueError(
+                f"marker interval {name} = [{scalar_to_str(lo)}, "
+                f"{scalar_to_str(hi)}] has its ends out of order"
+            )
+        intervals[name] = Interval(lo, hi)
+    orbit = tuple(scalar_from_str(x) for x in obj["orbit"])
+    return Markers(orbit, scalar_from_str(obj["t"]), intervals)
+
+
 def document_for(params: ConstructionParams, rescale: bool = True) -> MapDocument:
     """Build the map params describe, of type 2^d * p and entropy
     log(slope) / 2^d: the odd-type map followed by d square roots. Markers
     are carried only when d = 0; the square-root conjugacy does not preserve
     them."""
-    built = odd_type_map(params.p, params.slope, params.tol)
+    built = odd_type_map(params.p, params.slope)
     final = built.map
     for _ in range(params.doublings):
         final = square_root(final, rescale=rescale)
-    markers = None
-    if params.doublings == 0:
-        markers = {
-            "orbit": list(built.orbit),
-            "t": built.t,
-            "intervals": {
-                name: (iv.lo, iv.hi) for name, iv in built.intervals.items()
-            },
-        }
     return MapDocument(
         params=params,
         rescale=rescale,
-        breakpoints=final.breakpoints,
-        values=final.values,
-        markers=markers,
+        map=final,
+        markers=built.markers if params.doublings == 0 else None,
         provenance={
             "created": datetime.datetime.now(datetime.timezone.utc).isoformat(
                 timespec="seconds"

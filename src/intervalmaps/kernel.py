@@ -15,7 +15,11 @@ from typing import Tuple, Union
 
 Scalar = Union[Fraction, float]
 
+# The one tolerance of floating-mode comparisons; documents record it as "tol".
+FLOAT_TOL = 1e-9
+
 __all__ = [
+    "FLOAT_TOL",
     "IntPolynomial",
     "Scalar",
     "as_scalar",
@@ -49,6 +53,11 @@ def as_scalar(x) -> Scalar:
 def is_exact(x: Scalar) -> bool:
     """True for rational scalars, False for floating ones."""
     return isinstance(x, Fraction)
+
+
+def _tolerance(exact: bool) -> Scalar:
+    """The comparison tolerance: 0 (equality) when exact, else FLOAT_TOL."""
+    return 0 if exact else FLOAT_TOL
 
 
 def _within(x: Scalar, y: Scalar, tol) -> bool:

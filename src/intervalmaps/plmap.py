@@ -24,8 +24,9 @@ are the lcms of the slopes' numerators and denominators. Fixed points are the
 sign changes of f^q(x) - x between branch ends, kept as reduced (num, den) int
 pairs: least periods are looked up in the Fix(f^j) sets of these pairs, and a
 Fraction is built only for the returned list. Floating mode carries each
-branch's slope and offset in binary64. No itinerary is stored; an error that
-names one recomputes it from a point's orbit.
+branch's slope and offset in binary64 and reads least periods as return
+times within FLOAT_TOL. No itinerary is stored; an error that names one
+recomputes it from a point's orbit.
 
 Maps are immutable and results are sorted and deterministic; the cursor is a
 cache that never changes what a call returns.
@@ -41,21 +42,20 @@ from functools import cached_property
 from operator import ne
 from typing import Dict, List, Optional, Tuple
 
-from .kernel import Scalar, as_scalar, is_exact
+from .kernel import FLOAT_TOL, Scalar, _tolerance, as_scalar, is_exact
 
-# Floating-mode tolerances; exact mode never consults them.
-FLOAT_EPS = 1e-9        # domain slack when clamping float points / intervals
-MERGE_TOL = 1e-12       # duplicate fixed points at shared branch endpoints
-PERIOD_TOL = 1e-9       # return times of float orbits
+# Duplicate float fixed points at shared branch ends; the float engine's
+# results depend on this value bit for bit.
+MERGE_TOL = 1e-12
 
 DEFAULT_BRANCH_CAP = 10_000_000
 
 __all__ = [
     "BranchBudgetError",
     "DEFAULT_BRANCH_CAP",
-    "FLOAT_EPS",
     "FixedPointContinuumError",
     "Interval",
+    "OrbitNotClosedError",
     "PLMap",
     "SlopeReport",
 ]
@@ -76,6 +76,11 @@ class BranchBudgetError(RuntimeError):
 class FixedPointContinuumError(RuntimeError):
     """An iterate restricts to the identity on a whole subinterval, so its
     fixed points are not isolated."""
+
+
+class OrbitNotClosedError(RuntimeError):
+    """A floating-mode fixed point of f^q does not return within FLOAT_TOL in
+    q steps. A wider tolerance would merge distinct periodic points."""
 
 
 class _BranchCapHit(Exception):
@@ -101,17 +106,11 @@ class Interval:
         return self.lo == self.hi
 
     @property
-    def length(self) -> Scalar:
-        return self.hi - self.lo
-
-    @property
     def mid(self) -> Scalar:
         return (self.lo + self.hi) / 2
 
-    def contains(self, x: Scalar, slack=0) -> bool:
-        if not slack:  # spares two Fraction additions
-            return self.lo <= x <= self.hi
-        return self.lo - slack <= x <= self.hi + slack
+    def contains(self, x: Scalar) -> bool:
+        return self.lo <= x <= self.hi
 
     def encloses(self, other: "Interval", slack=0) -> bool:
         """self covers other (up to slack on each side)."""
@@ -120,9 +119,6 @@ class Interval:
     def meets_interior(self, other: "Interval", margin=0) -> bool:
         """self intersects the open interior of other (margin shrinks it)."""
         return self.hi > other.lo + margin and self.lo < other.hi - margin
-
-    def as_tuple(self) -> Tuple[Scalar, Scalar]:
-        return (self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -185,12 +181,13 @@ class PLMap:
         return all(is_exact(x) for x in self.breakpoints + self.values)
 
     @property
-    def domain(self) -> Interval:
-        return Interval(self.breakpoints[0], self.breakpoints[-1])
+    def tol(self) -> Scalar:
+        """0 (exact equality) in rational mode, FLOAT_TOL in floating mode."""
+        return _tolerance(self.is_exact)
 
     @property
-    def piece_count(self) -> int:
-        return len(self.breakpoints) - 1
+    def domain(self) -> Interval:
+        return Interval(self.breakpoints[0], self.breakpoints[-1])
 
     def _clamp(self, x: Scalar) -> Scalar:
         lo, hi = self.breakpoints[0], self.breakpoints[-1]
@@ -198,9 +195,9 @@ class PLMap:
             return x
         # floating round-off may push iterated points a hair outside
         if isinstance(x, float) or not self.is_exact:
-            if x > hi and x - hi <= FLOAT_EPS:
+            if x > hi and x - hi <= FLOAT_TOL:
                 return hi
-            if x < lo and lo - x <= FLOAT_EPS:
+            if x < lo and lo - x <= FLOAT_TOL:
                 return lo
         raise ValueError(f"point {x!r} outside domain [{lo}, {hi}]")
 
@@ -360,8 +357,9 @@ class PLMap:
         the branch ends, and its least period is the least divisor j of q with
         the point in Fix(f^j), recorded as the pass goes by f^j. In floating
         mode it is solved from the branch's slope and offset, duplicates within
-        1e-12 are merged, and least periods are return times. A branch on
-        which f^q is the identity raises FixedPointContinuumError.
+        1e-12 are merged, and least periods are return times; a point that
+        does not return raises OrbitNotClosedError. A branch on which f^q is
+        the identity raises FixedPointContinuumError.
         """
         engine = self._engine
         engine.prepare(q, branch_cap)
@@ -381,7 +379,7 @@ class PLMap:
         for x in points:
             j = self.return_time(x, q)
             if j is None:
-                raise RuntimeError(f"point {x!r} failed to close up after {q} steps")
+                raise OrbitNotClosedError(f"point {x!r} failed to close up after {q} steps")
             out.append((x, j))
         return out
 
@@ -394,9 +392,8 @@ class PLMap:
         return tuple(out)
 
     def return_time(self, x: Scalar, n: int) -> Optional[int]:
-        """The least j <= n with f^j(x) = x (within PERIOD_TOL in floating
-        mode), or None."""
-        tol = 0 if self.is_exact else PERIOD_TOL
+        """The least j <= n with f^j(x) = x (within the map's tol), or None."""
+        tol = self.tol
         y = x
         for j in range(1, n + 1):
             y = self.eval(y)

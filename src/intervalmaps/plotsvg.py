@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .construct import Markers
 from .kernel import scalar_to_str
 from .plmap import PLMap
 
@@ -21,7 +22,7 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def render_map_svg(m: PLMap, markers: Optional[dict] = None, title: str = "") -> str:
+def render_map_svg(m: PLMap, markers: Optional[Markers] = None, title: str = "") -> str:
     lo = float(m.breakpoints[0])
     hi = float(m.breakpoints[-1])
     span = hi - lo
@@ -57,15 +58,13 @@ def render_map_svg(m: PLMap, markers: Optional[dict] = None, title: str = "") ->
         f'<polyline points="{pts}" fill="none" stroke="#0044cc" stroke-width="2"/>'
     )
 
-    if markers:
-        t = markers.get("t")
-        if t is not None:
-            x = _fmt(px(float(t)))
-            parts.append(
-                f'<line x1="{x}" y1="{MARGIN}" x2="{x}" y2="{SIZE - MARGIN}" '
-                f'stroke="#cc8800" stroke-width="1" stroke-dasharray="4 3"/>'
-            )
-        for pt in markers.get("orbit", ()):
+    if markers is not None:
+        x = _fmt(px(float(markers.t)))
+        parts.append(
+            f'<line x1="{x}" y1="{MARGIN}" x2="{x}" y2="{SIZE - MARGIN}" '
+            f'stroke="#cc8800" stroke-width="1" stroke-dasharray="4 3"/>'
+        )
+        for pt in markers.orbit:
             fx = float(pt)
             parts.append(
                 f'<circle cx="{_fmt(px(fx))}" cy="{_fmt(py(float(m.eval(pt))))}" '

@@ -27,5 +27,11 @@ def sqrt32(f32):
 
 
 @pytest.fixture(scope="session")
+def sqrt52(f52):
+    """Square root of the type-5 slope-2 map, rescaled to [0, 1]."""
+    return square_root(f52.map)
+
+
+@pytest.fixture(scope="session")
 def stefan5():
     return stefan_map(5)

@@ -61,15 +61,15 @@ def test_criterion_01_minimal_slopes():
 def test_criterion_02_construction_exactness():
     with criterion(2, "exact rational construction for p=5, slope 2", 1.0):
         built = odd_type_map(5, F(2))
-        assert built.orbit == (F(3, 8), F(1, 4), F(1, 2), F(0), F(1))
-        assert built.t == F(13, 16)
+        assert built.markers.orbit == (F(3, 8), F(1, 4), F(1, 2), F(0), F(1))
+        assert built.markers.t == F(13, 16)
         assert built.full_tents == 1
-        assert built.intervals["J1"] == Interval(F(1, 2), F(3, 4))
-        assert built.intervals["K"] == Interval(F(3, 4), F(13, 16))
+        assert built.markers.intervals["J1"] == Interval(F(1, 2), F(3, 4))
+        assert built.markers.intervals["K"] == Interval(F(3, 4), F(13, 16))
         for i in range(5):
-            assert built.map.eval(built.orbit[i]) == built.orbit[(i + 1) % 5]
-        x = built.orbit
-        assert x[3] < x[1] < x[0] < x[2] and x[2] <= built.t < x[4]
+            assert built.map.eval(built.markers.orbit[i]) == built.markers.orbit[(i + 1) % 5]
+        x = built.markers.orbit
+        assert x[3] < x[1] < x[0] < x[2] and x[2] <= built.markers.t < x[4]
 
 
 def test_criterion_03_constant_slope():
@@ -96,12 +96,12 @@ def test_criterion_04_entropy_estimates():
 def test_criterion_05_type_certification():
     with criterion(5, "type certification with exact witnesses", 120.0):
         f52 = odd_type_map(5, F(2))
-        report5 = verify_type(f52.map, 5, 13, partition=f52.partition())
+        report5 = verify_type(f52.map, 5, 13, partition=f52.markers.partition())
         assert report5.verdict == "consistent"
         assert report5.absent == (3,)
 
         f72 = odd_type_map(7, F(2))
-        report7 = verify_type(f72.map, 7, 13, partition=f72.partition())
+        report7 = verify_type(f72.map, 7, 13, partition=f72.markers.partition())
         assert report7.verdict == "consistent"
         assert report7.absent == (3, 5)
 
@@ -118,7 +118,7 @@ def test_criterion_05_type_certification():
 def test_criterion_06_covering_graph():
     with criterion(6, "covering graph and cycle census for f_{5,2}", 5.0):
         f52 = odd_type_map(5, F(2))
-        graph = build_covering_graph(f52.map, f52.partition())
+        graph = build_covering_graph(f52.map, f52.markers.partition())
         partial = [(a, b) for a, b, kind in graph.edges if kind == "partial"]
         assert partial == [("K", "I3")]
         census = primitive_cycle_census(graph, 9)
@@ -155,7 +155,7 @@ def test_criterion_09_degenerate_minimal_slope():
     with criterion(9, "degenerate build at the minimal slope", 30.0):
         lam = minimal_slope(3)
         built = odd_type_map(3, lam)
-        assert abs(built.t - 1 / lam) <= 1e-9
+        assert abs(built.markers.t - 1 / lam) <= 1e-9
         assert len(built.map.breakpoints) == 3  # middle block omitted
         est = estimate_entropy(built.map, 14, target=math.log(lam))
         assert est.gap < 0.05

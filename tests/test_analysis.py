@@ -6,6 +6,7 @@ import pytest
 from intervalmaps import (
     BranchBudgetError,
     Interval,
+    PLMap,
     build_covering_graph,
     estimate_entropy,
     minimal_slope,
@@ -20,16 +21,16 @@ F = Fraction
 
 class TestVerifyType:
     def test_f52(self, f52):
-        report = verify_type(f52.map, 5, 13, partition=f52.partition())
+        report = verify_type(f52.map, 5, 13, partition=f52.markers.partition())
         assert report.verdict == "consistent"
         assert report.absent == (3,)
         assert set(report.present) == {1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}
-        assert report.present[5] in set(f52.orbit)
+        assert report.present[5] in set(f52.markers.orbit)
         assert report.excluded_odd_periods == (3,)
         assert report.census[3] == 0
 
     def test_f72(self, f72):
-        report = verify_type(f72.map, 7, 13, partition=f72.partition())
+        report = verify_type(f72.map, 7, 13, partition=f72.markers.partition())
         assert report.verdict == "consistent"
         assert report.absent == (3, 5)
         assert report.excluded_odd_periods == (3, 5)
@@ -41,7 +42,7 @@ class TestVerifyType:
         assert report.census is None
 
     def test_witnesses_reverify(self, f52):
-        report = verify_type(f52.map, 5, 9, partition=f52.partition())
+        report = verify_type(f52.map, 5, 9, partition=f52.markers.partition())
         for q, x in report.present.items():
             assert f52.map.iterate(x, q) == x
             for j in range(1, q):
@@ -59,13 +60,13 @@ class TestVerifyType:
         assert report.checked_up_to < 13
 
     def test_boundary_periods_are_p_or_none(self, f52):
-        report = verify_type(f52.map, 5, 13, partition=f52.partition())
+        report = verify_type(f52.map, 5, 13, partition=f52.markers.partition())
         assert set(report.boundary_periods.values()) <= {5, None}
 
     def test_present_set_is_up_closed(self, f52):
         from intervalmaps import sharkovskii_le
 
-        report = verify_type(f52.map, 5, 13, partition=f52.partition())
+        report = verify_type(f52.map, 5, 13, partition=f52.markers.partition())
         for m in report.present:
             for m2 in range(1, 14):
                 if sharkovskii_le(m, m2):
@@ -74,8 +75,9 @@ class TestVerifyType:
     def test_interior_orbits_trace_graph_cycles(self, f52):
         # soundness of the covering graph: an interior periodic orbit follows
         # the arrows (this is the direction the certificate relies on)
-        partition = f52.partition()
+        partition = f52.markers.partition()
         graph = build_covering_graph(f52.map, partition)
+        arrows = {(a, b) for a, b, _kind in graph.edges}
         boundary = set()
         for _, iv in partition:
             boundary.update((iv.lo, iv.hi))
@@ -96,7 +98,7 @@ class TestVerifyType:
                 labels = [label_of(pt) for pt in orbit]
                 assert all(labels)
                 for a, b in zip(labels, labels[1:] + labels[:1]):
-                    assert graph.edge_kind(a, b) is not None
+                    assert (a, b) in arrows
 
     def test_q_max_validation(self, f32):
         with pytest.raises(ValueError):
@@ -123,7 +125,7 @@ class TestEntropy:
         from intervalmaps import ConstructionParams
         from intervalmaps.document import document_for
 
-        m = document_for(ConstructionParams(5, 2, F(2))).plmap()
+        m = document_for(ConstructionParams(5, 2, F(2))).map
         est = estimate_entropy(m, 28, target=math.log(2) / 4)
         assert est.gap < 0.05
         report = verify_type(m, 20, 12)
@@ -200,6 +202,10 @@ class TestMixing:
         ("sqrt32", F(1, 1024), 16, 40),  # not mixing: no trace covers
         ("f52", 2.0 ** -10, 64, 200),  # float seeds on a rational map
         ("float", 2.0 ** -10, 64, 200),
+        ("sqrt52", F(1, 1024), 64, 200),  # not mixing, traces stop at repeats
+        # seeds that reach the cap leave their images unsettled: a later seed
+        # that meets one early can still cover in time
+        ("f52", F(1, 1024), 64, 11),
     ])
     def test_first_cover_matches_traces(self, request, name, width, grid, cap):
         m = odd_type_map(5, 1.9) if name == "float" else request.getfixturevalue(name)
@@ -207,6 +213,22 @@ class TestMixing:
         report = verify_mixing(m, width, grid, cap)
         traced = tuple(mixing_trace(m, seed, cap)[0] for seed in report.seeds)
         assert report.first_cover == traced
+
+    def test_non_mixing_traces_stop_early(self, sqrt32, monkeypatch):
+        """A trace that repeats an image, or meets one an earlier trace never
+        covered from, stops there: running every seed to the cap would take
+        about 12,600 image calls here."""
+        calls = []
+        image = PLMap.image
+
+        def counted(self, a):
+            calls.append(a)
+            return image(self, a)
+
+        monkeypatch.setattr(PLMap, "image", counted)
+        report = verify_mixing(sqrt32, F(1, 1024), 64, 200)
+        assert report.first_cover.count(None) == 63
+        assert len(calls) <= 1000
 
     def test_validation(self, f32):
         with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ class TestConstruct:
         out = capsys.readouterr().out
         assert "type 5" in out
         doc = load_document(str(path))
-        assert len(doc.breakpoints) == 7
+        assert len(doc.map.breakpoints) == 7
         assert doc.mode == "rational"
 
     def test_stdout_mode(self, capsys):
@@ -71,7 +71,7 @@ class TestConstruct:
         path = construct(tmp_path, "--p", "3", "--lambda", "lambda_p")
         doc = load_document(str(path))
         assert doc.mode == "floating"
-        assert len(doc.breakpoints) == 3  # degenerate middle block
+        assert len(doc.map.breakpoints) == 3  # degenerate middle block
 
     def test_roundtrip_byte_identical(self, tmp_path):
         path = construct(tmp_path, "--p", "5", "--lambda", "2")
@@ -122,7 +122,7 @@ class TestAnalyze:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         doc = load_document(str(path))
-        direct = verify_type(doc.plmap(), 5, 7, partition=doc.partition())
+        direct = verify_type(doc.map, 5, 7, partition=doc.markers.partition())
         assert report["type"]["verdict"] == direct.verdict
         assert report["type"]["absent"] == list(direct.absent)
         assert set(report["type"]["present"]) == {str(q) for q in direct.present}
@@ -229,6 +229,13 @@ class TestSweep:
         assert "usage error: target entropy 1000 is too large" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_target_entropy_inf_usage_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "inf"
+        code = main(["sweep", "--target-entropy", "inf", "--out-dir", str(out_dir)])
+        assert code == 1
+        assert "usage error: target entropy inf is not finite" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_empty_grid_usage_error(self, tmp_path, capsys):
         code = main(["sweep", "--p", "", "--out-dir", str(tmp_path / "x")])
         assert code == 1
@@ -325,8 +332,8 @@ class TestBranchCapValidation:
 
 
 class TestMalformedDocument:
-    def rewrite(self, tmp_path, edit):
-        path = construct(tmp_path, "--p", "3", "--lambda", "2")
+    def rewrite(self, tmp_path, edit, slope="2"):
+        path = construct(tmp_path, "--p", "3", "--lambda", slope)
         obj = json.loads(path.read_text())
         edit(obj)
         path.write_text(json.dumps(obj))
@@ -363,6 +370,14 @@ class TestMalformedDocument:
         assert main(["analyze", str(path), "--type", "5"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("slope", ["2", "1.9"])
+    def test_other_tol_exits_one(self, tmp_path, capsys, slope):
+        path = self.rewrite(tmp_path, lambda obj: obj["params"].update(tol=1e-06), slope)
+        capsys.readouterr()
+        assert main(["analyze", str(path), "--type", "3"]) == 1
+        message = "error: document field 'tol' must be 1e-09, got 1e-06\n"
+        assert capsys.readouterr().err == message
+
     def test_mistyped_field_exits_one(self, tmp_path, capsys):
         path = self.rewrite(tmp_path, lambda obj: obj["params"].update(p=None))
         capsys.readouterr()
@@ -390,3 +405,20 @@ class TestMalformedDocument:
         assert capsys.readouterr().err.startswith("error: f^2 is the identity on [0, 1]")
         assert main(["analyze", str(path), "--entropy", "5"]) == 0
         assert json.loads(capsys.readouterr().out)["entropy"]["laps"] == [1] * 5
+
+    def test_float_orbit_not_closing_exits_one(self, tmp_path, capsys):
+        """A steep float map (one piece has slope -18): f^6 brings one of its
+        fixed points back only to within 1.1e-9, past the fixed tolerance, so
+        its least period cannot be read. That is an error, not a traceback."""
+        path = self.rewrite(tmp_path, lambda obj: obj.update(
+            breakpoints=["0.0", "0.27842106451389714", "0.5494399091440374",
+                         "0.8192798378357413", "0.8639844696985152",
+                         "0.8833838264415125", "1.0"],
+            values=["0.0", "0.3587711653316248", "0.884192827198217",
+                    "0.9577312039639913", "0.15092090579110895",
+                    "0.17621772849037032", "0.0"],
+            markers=None), "1.9")
+        capsys.readouterr()
+        assert main(["analyze", str(path), "--type", "6"]) == 1
+        message = "error: point 0.8265487107558289 failed to close up after 6 steps\n"
+        assert capsys.readouterr().err == message

@@ -122,9 +122,9 @@ class TestBuild:
         )
         assert m.values == (F(1), F(0), F(1, 4), F(0), F(1, 16), F(0), F(3, 8))
         assert f52.full_tents == 1
-        assert f52.intervals["J1"] == Interval(F(1, 2), F(3, 4))
-        assert f52.intervals["K"] == Interval(F(3, 4), F(13, 16))
-        assert f52.t == F(13, 16)
+        assert f52.markers.intervals["J1"] == Interval(F(1, 2), F(3, 4))
+        assert f52.markers.intervals["K"] == Interval(F(3, 4), F(13, 16))
+        assert f52.markers.t == F(13, 16)
         assert f52.middle_length == F(5, 16)
 
     def test_f32_exact(self, f32):
@@ -132,13 +132,13 @@ class TestBuild:
         assert m.breakpoints == (F(0), F(1, 2), F(5, 8), F(3, 4), F(1))
         assert m.values == (F(1), F(0), F(1, 4), F(0), F(1, 2))
         assert f32.full_tents == 0
-        assert f32.intervals["K"] == Interval(F(1, 2), F(3, 4))
+        assert f32.markers.intervals["K"] == Interval(F(1, 2), F(3, 4))
 
     def test_degenerate_at_minimal_slope(self):
         lam = minimal_slope(3)
         built = odd_type_map(3, lam)
         assert len(built.map.breakpoints) == 3  # no middle block at all
-        assert abs(built.t - 1 / lam) <= 1e-9
+        assert abs(built.markers.t - 1 / lam) <= 1e-9
         assert built.full_tents == 0
         assert built.middle_length == 0
 
@@ -152,18 +152,18 @@ class TestBuild:
     def test_orbit_identity_on_map(self, p, slope):
         built = odd_type_map(p, slope)
         for i in range(p):
-            assert built.map.eval(built.orbit[i]) == built.orbit[(i + 1) % p]
+            assert built.map.eval(built.markers.orbit[i]) == built.markers.orbit[(i + 1) % p]
 
     def test_partition_tiles_domain(self, f52, f72):
         for built in (f52, f72):
-            items = built.partition()
+            items = built.markers.partition()
             assert items[0][1].lo == 0 and items[-1][1].hi == 1
             for (_, a), (_, b) in zip(items, items[1:]):
                 assert a.hi == b.lo
 
     def test_tents_hit_zero_and_summit(self, f72):
-        height = f72.orbit[3]  # x_{p-4}
-        for name, iv in f72.intervals.items():
+        height = f72.markers.orbit[3]  # x_{p-4}
+        for name, iv in f72.markers.intervals.items():
             if name.startswith("J"):
                 assert f72.map.eval(iv.lo) == 0
                 assert f72.map.eval(iv.hi) == 0
@@ -175,7 +175,7 @@ class TestBuild:
         # slope tuned so the middle length is an exact multiple of the tent
         # width would drop K; generic slope keeps it
         built = odd_type_map(5, F(5, 2))
-        names = set(built.intervals)
+        names = set(built.markers.intervals)
         assert "I1" in names and "I4" in names
 
 
@@ -203,12 +203,13 @@ class TestSquareRoot:
 
     def test_typed_map_d0_is_base(self, f32):
         params = ConstructionParams(3, 0, F(2))
-        assert document_for(params).plmap() == f32.map
+        assert document_for(params).map == f32.map
 
     def test_typed_map_domains(self):
         params = ConstructionParams(3, 2, F(2))
-        assert document_for(params).plmap().domain.as_tuple() == (0, 1)
-        raw = document_for(params, rescale=False).plmap()
+        dom = document_for(params).map.domain
+        assert (dom.lo, dom.hi) == (0, 1)
+        raw = document_for(params, rescale=False).map
         assert raw.breakpoints[-1] == 9
 
 
@@ -218,8 +219,6 @@ class TestParams:
             ConstructionParams(4, 0, F(2))
         with pytest.raises(ValueError):
             ConstructionParams(3, -1, F(2))
-        with pytest.raises(ValueError):
-            ConstructionParams(3, 0, F(2), tol=0.0)
         with pytest.raises(SlopeBelowMinimumError):
             ConstructionParams(3, 0, F(3, 2))
 

@@ -76,17 +76,17 @@ def census_by_trace_formula(graph, max_len):
 
 @pytest.fixture(scope="module")
 def graph52(f52):
-    return build_covering_graph(f52.map, f52.partition())
+    return build_covering_graph(f52.map, f52.markers.partition())
 
 
 @pytest.fixture(scope="module")
 def graph32(f32):
-    return build_covering_graph(f32.map, f32.partition())
+    return build_covering_graph(f32.map, f32.markers.partition())
 
 
 @pytest.fixture(scope="module")
 def graph72(f72):
-    return build_covering_graph(f72.map, f72.partition())
+    return build_covering_graph(f72.map, f72.markers.partition())
 
 
 class TestGraphEdges:
@@ -169,7 +169,7 @@ class TestCycles:
     @pytest.mark.parametrize("which", ["f32", "f52", "f72"])
     def test_census_matches_trace_formula(self, which, request):
         built = request.getfixturevalue(which)
-        g = build_covering_graph(built.map, built.partition())
+        g = build_covering_graph(built.map, built.markers.partition())
         census = primitive_cycle_census(g, 9)
         assert census == census_by_trace_formula(g, 9) == census_by_search(g, 9)
 

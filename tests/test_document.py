@@ -1,5 +1,6 @@
 """Documents: the one builder, byte stability, and the checks made on load."""
 
+import dataclasses
 import json
 import math
 import re
@@ -55,6 +56,12 @@ class TestBuilder:
         assert doc.params is params
         assert doc.markers is None
         assert MapDocument.from_json(doc.to_json()).params == params
+
+    def test_document_is_frozen_and_keeps_its_map(self):
+        doc = load_document(str(FIXTURES[0]))
+        assert doc.map is doc.map
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            doc.map = document_for(ConstructionParams(3, 0, F(2))).map
 
     def test_loaded_params_are_validated(self):
         text = document_for(ConstructionParams(3, 0, F(2))).to_json()
@@ -120,10 +127,10 @@ def test_builder_property(params):
     """Constant slope, markers that pass the load check, byte round-trip and
     a consistent type up to q = 6, for every map the builder makes."""
     doc = document_for(params)
-    m = doc.plmap()
+    m = doc.map
     assert all(abs(s) == params.slope for s in m.slopes)
     text = doc.to_json()
     loaded = MapDocument.from_json(text)  # re-verifies the markers
     assert loaded.to_json() == text
-    report = verify_type(m, params.type_value, 6, partition=loaded.partition())
+    report = verify_type(m, params.type_value, 6, partition=loaded.markers.partition())
     assert report.verdict == "consistent"

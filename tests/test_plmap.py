@@ -239,7 +239,7 @@ class TestPeriodicPoints:
 
     def test_return_time_float_tolerance(self):
         built = odd_type_map(5, 1.9)
-        x = built.orbit[0]
+        x = built.markers.orbit[0]
         assert built.map.return_time(x, 5) == 5
         assert built.map.return_time(x + 1e-6, 5) is None
 
@@ -260,7 +260,7 @@ class TestConstantSlope:
     def test_report_fields(self, f32):
         report = f32.map.is_constant_slope(F(2), 0)
         assert report.ok and bool(report)
-        assert len(report.slopes) == f32.map.piece_count
+        assert len(report.slopes) == len(f32.map.breakpoints) - 1
         assert all(d == 0 for d in report.deviations)
 
 
