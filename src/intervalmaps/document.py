@@ -5,9 +5,10 @@ every scalar through the canonical text form (lowest-terms 'num/den' for
 rationals, shortest round-trip decimals for floats), so serializing a loaded
 document reproduces it byte for byte and documents diff cleanly. A loaded
 document is checked as a construction: its "tol" must be FLOAT_TOL, its
-params pass ConstructionParams and its markers are re-verified against its
-map; it keeps that map and those Markers. document_for is the one builder
-from ConstructionParams to a document.
+"mode" must name the exactness of its map and slope, "p" and "d" must be JSON
+integers and "rescale" a JSON bool, its params pass ConstructionParams and its
+markers are re-verified against its map; it keeps that map and those Markers.
+document_for is the one builder from ConstructionParams to a document.
 """
 
 from __future__ import annotations
@@ -84,8 +85,10 @@ class MapDocument:
     @classmethod
     def from_dict(cls, obj: dict) -> "MapDocument":
         """Parse a document and check it as a construction: its tol is
-        FLOAT_TOL, its params pass ConstructionParams, its breakpoints form a
-        map, and its markers, if any, belong to d = 0 and pass verify_markers."""
+        FLOAT_TOL, its params have their JSON types and pass
+        ConstructionParams, its breakpoints form a map whose exactness its
+        mode and slope name, and its markers, if any, belong to d = 0 and pass
+        verify_markers."""
         fmt = obj.get("format") if isinstance(obj, dict) else None
         if fmt != FORMAT_ID:
             raise ValueError(f"unsupported document format {fmt!r}")
@@ -100,9 +103,11 @@ class MapDocument:
             markers = obj.get("markers")
             doc = cls(
                 params=ConstructionParams(
-                    int(params["p"]), int(params["d"]), scalar_from_str(params["lambda"])
+                    _typed(params, "p", int, "an integer"),
+                    _typed(params, "d", int, "an integer"),
+                    scalar_from_str(params["lambda"]),
                 ),
-                rescale=bool(params["rescale"]),
+                rescale=_typed(params, "rescale", bool, "true or false"),
                 map=PLMap(
                     tuple(scalar_from_str(b) for b in obj["breakpoints"]),
                     tuple(scalar_from_str(v) for v in obj["values"]),
@@ -110,10 +115,18 @@ class MapDocument:
                 markers=None if markers is None else _markers_from_dict(markers),
                 provenance=dict(obj["provenance"]),
             )
+            mode = "rational" if doc.map.is_exact else "floating"
+            if params["mode"] != mode:
+                raise ValueError(
+                    f"document field 'mode' must be {mode!r} for a {mode} map, "
+                    f"got {params['mode']!r}"
+                )
         except KeyError as exc:
             raise ValueError(f"document lacks field {exc}") from None
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"malformed document: {exc}") from None
+        if doc.mode != mode:
+            raise ValueError(f"document field 'lambda' is {doc.mode} but the map is {mode}")
         if doc.markers is not None:
             if doc.params.doublings != 0:
                 raise ValueError("markers belong to d = 0 documents only")
@@ -123,6 +136,14 @@ class MapDocument:
     @classmethod
     def from_json(cls, text: str) -> "MapDocument":
         return cls.from_dict(json.loads(text))
+
+
+def _typed(params: dict, name: str, kind: type, what: str):
+    """params[name], which must have JSON type kind exactly (so a bool is no int)."""
+    value = params[name]
+    if type(value) is not kind:
+        raise ValueError(f"malformed document: field {name!r} must be {what}, got {value!r}")
+    return value
 
 
 def _markers_from_dict(obj: dict) -> Markers:

@@ -3,9 +3,12 @@
 Evaluation and interval images are exact over rationals. Periodic points of f^q
 come from its affine branches: the intervals on which f^q is affine, found by
 cutting each branch of f^(q-1) where it crosses a breakpoint of f. One pass per
-map builds each iterate once: a one-slot cursor keeps the last iterate, so
-requests for ascending q cost one refinement step each, and a request for an
-earlier q restarts from f^1.
+map builds each iterate once and records, for every f^n it builds, the branch
+count and Fix(f^n) (in floating mode also the lap count). A one-slot cursor
+keeps the last iterate, so the pass goes on from it: periodic_points(q) and
+floating lap_growth(n) build only the iterates past the record, and a request
+behind it is a lookup. Only an explicit branches_of_iterate(q) behind the
+cursor restarts from f^1.
 
 Lap counts of iterates (hence the entropy estimate) need no branches in
 rational mode. L(f^n) is 1 + the number of points whose orbit meets a turning
@@ -22,14 +25,14 @@ denominators: its ends over D*L^(n-1) and their f^n values over D*R^(n-1),
 where D is the lcm of the denominators of the breakpoints and values and L, R
 are the lcms of the slopes' numerators and denominators. Fixed points are the
 sign changes of f^q(x) - x between branch ends, kept as reduced (num, den) int
-pairs: least periods are looked up in the Fix(f^j) sets of these pairs, and a
-Fraction is built only for the returned list. Floating mode carries each
-branch's slope and offset in binary64 and reads least periods as return
-times within FLOAT_TOL. No itinerary is stored; an error that names one
-recomputes it from a point's orbit.
+pairs: least periods are looked up in the recorded Fix(f^j) of the proper
+divisors j of q, and a Fraction is built only for the returned list. Floating
+mode carries each branch's slope and offset in binary64 and reads least
+periods as return times within FLOAT_TOL. No itinerary is stored; an error
+that names one recomputes it from a point's orbit.
 
-Maps are immutable and results are sorted and deterministic; the cursor is a
-cache that never changes what a call returns.
+Maps are immutable and results are sorted and deterministic; the cursor and
+the record are caches that never change what a call returns.
 """
 
 from __future__ import annotations
@@ -272,15 +275,25 @@ class PLMap:
         1 + the number of points whose orbit meets a turning point of f within
         n steps, and the branch count of f^n is the same count for all interior
         breakpoints; both come from the interval graph of _hits, without
-        building any branch. Floating mode counts laps and branches in the
-        branch pass. The first n whose branch count exceeds the cap raises
+        building any branch. Floating mode reads the laps the branch pass
+        records, going on with branches_of_iterate past the last iterate
+        recorded. The first n whose branch count exceeds the cap raises
         BranchBudgetError naming n - 1 as the largest completed iterate (its
         .laps holds the completed prefix).
         """
         if n_max < 1:
             raise ValueError("n_max must be >= 1")
         if not self.is_exact:
-            return self._engine.lap_growth(n_max, branch_cap)
+            engine = self._engine
+            try:
+                if n_max > len(engine.laps):
+                    self.branches_of_iterate(n_max, branch_cap)
+                else:
+                    engine.check_budget(n_max, branch_cap)
+            except BranchBudgetError as err:
+                done = err.completed_n
+                raise BranchBudgetError(branch_cap, done, engine.laps[:done]) from None
+            return engine.laps[:n_max]
         inner = self.breakpoints[1:-1]
         rising = [s > 0 for s in self.slopes]
         turning = tuple(b for b, u, w in zip(inner, rising, rising[1:]) if u != w)
@@ -352,26 +365,30 @@ class PLMap:
     ) -> List[Tuple[Scalar, int]]:
         """All fixed points of f^q with their least periods, sorted by point.
 
-        Each branch of f^q contributes at most one fixed point. In rational
-        mode it is the exact zero of f^q(x) - x where that changes sign between
-        the branch ends, and its least period is the least divisor j of q with
-        the point in Fix(f^j), recorded as the pass goes by f^j. In floating
-        mode it is solved from the branch's slope and offset, duplicates within
-        1e-12 are merged, and least periods are return times; a point that
-        does not return raises OrbitNotClosedError. A branch on which f^q is
-        the identity raises FixedPointContinuumError.
+        Each branch of f^q contributes at most one fixed point, and the pass
+        records Fix(f^n) for every iterate it builds: a q past the record goes
+        on with branches_of_iterate, and a q already passed only checks the
+        cap against the recorded branch counts. In rational mode a fixed point
+        is the exact zero of f^q(x) - x where that changes sign between the
+        branch ends, and its least period is the least divisor j of q with the
+        point in the recorded Fix(f^j). In floating mode it is solved from the
+        branch's slope and offset, duplicates within 1e-12 are merged, and
+        least periods are return times; a point that does not return raises
+        OrbitNotClosedError. A branch on which f^q is the identity raises
+        FixedPointContinuumError.
         """
         engine = self._engine
-        engine.prepare(q, branch_cap)
-        branches = self.branches_of_iterate(q, branch_cap)
-        try:
-            points = engine.fixed_points(branches)
-        except _IdentityBranch as hit:
-            lo, hi = hit.args
+        if not 1 <= q <= len(engine.counts):
+            self.branches_of_iterate(q, branch_cap)  # raises ValueError for q < 1
+        else:
+            engine.check_budget(q, branch_cap)
+        points = engine.fixed[q - 1]
+        if isinstance(points, _IdentityBranch):
+            lo, hi = points.args
             itinerary = self._itinerary((lo + hi) / 2, q)
             raise FixedPointContinuumError(
                 f"f^{q} is the identity on [{lo}, {hi}] (itinerary {itinerary})"
-            ) from None
+            )
         if self.is_exact:
             periods = engine.least_periods(points, q)
             return [(Fraction(*x), j) for x, j in zip(points, periods)]
@@ -392,12 +409,33 @@ class PLMap:
         return tuple(out)
 
     def return_time(self, x: Scalar, n: int) -> Optional[int]:
-        """The least j <= n with f^j(x) = x (within the map's tol), or None."""
-        tol = self.tol
+        """The least j <= n with f^j(x) = x (within the map's tol), or None.
+
+        Floating mode inlines eval with the same expressions, clamping only a
+        point outside the domain."""
+        if self.is_exact:
+            tol = self.tol
+            y = x
+            for j in range(1, n + 1):
+                y = self.eval(y)
+                if abs(y - x) <= tol:
+                    return j
+            return None
+        x = as_scalar(x)
+        bps, vals, slopes = self.breakpoints, self.values, self.slopes
+        lo, hi, last = bps[0], bps[-1], len(bps) - 1
         y = x
         for j in range(1, n + 1):
-            y = self.eval(y)
-            if abs(y - x) <= tol:
+            if not lo <= y <= hi:
+                y = self._clamp(y)
+            k = bisect_right(bps, y) - 1
+            if k >= last:
+                y = vals[-1]
+            elif y == bps[k]:
+                y = vals[k]
+            else:
+                y = vals[k] + (y - bps[k]) * slopes[k]
+            if abs(y - x) <= FLOAT_TOL:
                 return j
         return None
 
@@ -450,13 +488,17 @@ class _Engine:
     """The pass over the iterates f^1, f^2, ... of one map.
 
     A one-slot cursor keeps the last iterate built: a request for f^q resumes
-    from it, or restarts from f^1 when q is behind it. The branch count of
-    every iterate built is kept, so the budget check sees all of f^1..f^q
-    under any call order. Subclasses supply the arithmetic.
+    from it, or restarts from f^1 when q is behind it. The branch count and
+    Fix(f^n) of every iterate built are recorded, so the budget check sees all
+    of f^1..f^q under any call order and fixed points are solved once per
+    iterate. Subclasses supply the arithmetic.
     """
 
     def __init__(self) -> None:
         self.counts: List[int] = []
+        # fixed[n - 1]: Fix(f^n) as fixed_points returns it, or the
+        # _IdentityBranch it raised, which periodic_points(n) reports
+        self.fixed: list = []
         self.last = None
 
     def check_budget(self, q: int, cap: int) -> None:
@@ -486,16 +528,18 @@ class _Engine:
                 raise BranchBudgetError(cap, it.n, []) from None
 
     def record(self, it) -> None:
-        """Keep the counts of an iterate built for the first time."""
+        """Keep the branch count and fixed points of an iterate built for the
+        first time."""
         self.counts.append(len(it))
+        try:
+            self.fixed.append(self.fixed_points(it))
+        except _IdentityBranch as hit:
+            self.fixed.append(hit)
 
     def advance(self, q: int, cap: int):
         for it in self.iterates(q, cap):
             pass
         return it
-
-    def prepare(self, q: int, cap: int) -> None:
-        """Whatever periodic_points(q) needs besides f^q itself."""
 
 
 class _ExactEngine(_Engine):
@@ -520,7 +564,7 @@ class _ExactEngine(_Engine):
         self.R = R = math.lcm(*(s.denominator for s in slopes))
         # f(y) = v_j + s_j (y - b_j), with s_j = A[j] / R
         self.A = [s.numerator * (R // s.denominator) for s in slopes]
-        self.fixed: Dict[int, set] = {}  # n -> Fix(f^n), as the pass records them
+        self.fixed_sets: Dict[int, set] = {}  # n -> set(fixed[n - 1]), built once
 
     def first(self) -> _ExactIterate:
         B, V = self.B, self.V
@@ -594,20 +638,18 @@ class _ExactEngine(_Engine):
                 out.append(x)
         return out
 
-    def prepare(self, q: int, cap: int) -> None:
-        """Record Fix(f^j) for the proper divisors j of q not passed yet, in
-        ascending order so the pass goes on to f^q."""
-        for j in _divisors(q)[:-1]:
-            if j not in self.fixed:
-                try:
-                    self.fixed[j] = set(self.fixed_points(self.advance(j, cap)))
-                except _IdentityBranch:
-                    pass  # then f^q is the identity there too, and says so
-
     def least_periods(self, points: List[Tuple[int, int]], q: int) -> List[int]:
-        self.fixed[q] = set(points)
-        proper = [(j, self.fixed[j]) for j in _divisors(q)[:-1]]
+        """Each point's least divisor j of q with the point in Fix(f^j). The
+        pass has recorded every f^j with j <= q; none raised _IdentityBranch,
+        since f^q is then the identity there too."""
+        proper = [(j, self._fixed_set(j)) for j in _divisors(q)[:-1]]
         return [next((j for j, fix in proper if x in fix), q) for x in points]
+
+    def _fixed_set(self, j: int) -> set:
+        fix = self.fixed_sets.get(j)
+        if fix is None:
+            fix = self.fixed_sets[j] = set(self.fixed[j - 1])
+        return fix
 
 
 class _FloatEngine(_Engine):
@@ -627,18 +669,6 @@ class _FloatEngine(_Engine):
         super().record(it)
         self.laps.append(_runs([s > 0 for s in it.slope]))
 
-    def lap_growth(self, n_max: int, cap: int) -> List[int]:
-        """Laps of f^1..f^n_max from the pass (see PLMap.lap_growth)."""
-        try:
-            if n_max > len(self.laps):
-                self.advance(n_max, cap)
-            else:
-                self.check_budget(n_max, cap)
-        except BranchBudgetError as err:
-            done = err.completed_n
-            raise BranchBudgetError(cap, done, self.laps[:done]) from None
-        return self.laps[:n_max]
-
     def first(self) -> _FloatIterate:
         bps, vals, slopes = self.bps, self.vals, self.slopes
         offsets = [vals[j] - slopes[j] * bps[j] for j in range(len(slopes))]
@@ -649,6 +679,8 @@ class _FloatEngine(_Engine):
         interior to its image, then compose with the piece of f each fragment's
         midpoint lands in."""
         bps, vals, slopes = self.bps, self.vals, self.slopes
+        top = len(bps) - 2  # the last piece index
+        tb = [t * b for t, b in zip(slopes, bps)]
         lo: list = []
         hi: list = []
         slope: list = []
@@ -657,21 +689,33 @@ class _FloatEngine(_Engine):
             c, d = s * a + o, s * b + o
             if not c <= d:
                 c, d = d, c
-            idx = range(bisect_right(bps, c), bisect_left(bps, d))
-            if s < 0:
-                idx = reversed(idx)
-            cuts = [a]
-            cuts.extend((bps[i] - o) / s for i in idx)
-            cuts.append(b)
-            for u, v in zip(cuts, cuts[1:]):
+            first, last = bisect_right(bps, c), bisect_left(bps, d)
+            if first >= last:
+                cuts = (a, b)
+            else:
+                idx = range(first, last)
+                if s < 0:
+                    idx = reversed(idx)
+                cuts = [a]
+                cuts.extend((bps[i] - o) / s for i in idx)
+                cuts.append(b)
+            u = cuts[0]
+            for v in cuts[1:]:
                 if not u < v:  # float collapse; nothing to keep
+                    u = v
                     continue
-                j = _piece_index(bps, s * ((u + v) / 2) + o)
+                # _piece_index of the image of the midpoint, inlined
+                j = bisect_right(bps, s * ((u + v) / 2) + o) - 1
+                if j < 0:
+                    j = 0
+                elif j > top:
+                    j = top
                 t = slopes[j]
                 lo.append(u)
                 hi.append(v)
                 slope.append(t * s)
-                offset.append(t * o + vals[j] - t * bps[j])
+                offset.append(t * o + vals[j] - tb[j])
+                u = v
             if len(lo) > cap:
                 raise _BranchCapHit()
         return _FloatIterate(it.n + 1, lo, hi, slope, offset)

@@ -422,3 +422,44 @@ class TestMalformedDocument:
         assert main(["analyze", str(path), "--type", "6"]) == 1
         message = "error: point 0.8265487107558289 failed to close up after 6 steps\n"
         assert capsys.readouterr().err == message
+
+
+class TestEngineEntryPoints:
+    """The public PLMap methods a type check and a floating sweep cell go
+    through: periodic points and the float pass advance only by
+    branches_of_iterate, and an exact type check never counts laps."""
+
+    NAMES = ("branches_of_iterate", "periodic_points", "lap_growth")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from intervalmaps.plmap import PLMap
+
+        counts = dict.fromkeys(self.NAMES, 0)
+
+        def counting(name):
+            method = getattr(PLMap, name)
+
+            def wrapper(self, *args, **kwargs):
+                counts[name] += 1
+                return method(self, *args, **kwargs)
+            return wrapper
+
+        for name in self.NAMES:
+            monkeypatch.setattr(PLMap, name, counting(name))
+        return counts
+
+    def test_exact_type_check(self, tmp_path, capsys, calls):
+        path = construct(tmp_path, "--p", "5", "--lambda", "2")
+        argv = ["analyze", str(path), "--type", "6", "--mixing", "1/64", "8", "100",
+                "--graph", str(tmp_path / "g.dot")]
+        assert main(argv) == 0
+        assert calls["branches_of_iterate"] > 0
+        assert calls["periodic_points"] > 0
+        assert calls["lap_growth"] == 0
+
+    def test_float_sweep_cell(self, tmp_path, capsys, calls):
+        argv = ["sweep", "--p", "3", "--d", "0", "--lambda", "1.9", "--entropy-n", "6",
+                "--type-q", "6", "--mixing-grid", "4", "--out-dir", str(tmp_path / "cells")]
+        assert main(argv) == 0
+        assert all(calls[name] > 0 for name in self.NAMES), calls

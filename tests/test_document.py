@@ -71,6 +71,43 @@ class TestBuilder:
             MapDocument.from_dict(obj)
 
 
+class TestStrictParams:
+    """Each param has one JSON type and the mode names the map's exactness, so
+    load -> to_json is the identity on every document that loads."""
+
+    @pytest.mark.parametrize("name, field, value, message", [
+        ("map_p3_d0_lam2", "mode", "floating",
+         "document field 'mode' must be 'rational' for a rational map, got 'floating'"),
+        ("map_p3_d0_lam1.9", "mode", "rational",
+         "document field 'mode' must be 'floating' for a floating map, got 'rational'"),
+        ("map_p3_d0_lam2", "rescale", "no",
+         "malformed document: field 'rescale' must be true or false, got 'no'"),
+        ("map_p3_d0_lam2", "p", 3.7, "malformed document: field 'p' must be an integer, got 3.7"),
+        ("map_p3_d0_lam2", "p", True,
+         "malformed document: field 'p' must be an integer, got True"),
+        ("map_p3_d0_lam2", "d", "0",
+         "malformed document: field 'd' must be an integer, got '0'"),
+        ("map_p3_d0_lam2", "lambda", "2.0",
+         "document field 'lambda' is floating but the map is rational"),
+    ])
+    def test_edited_param_exits_one(self, tmp_path, capsys, name, field, value, message):
+        obj = json.loads((DATA / f"{name}.json").read_text())
+        obj["params"][field] = value
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError) as err:
+            load_document(str(path))
+        assert str(err.value) == message
+        assert main(["analyze", str(path), "--type", "3"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_missing_mode_is_named(self):
+        obj = json.loads((DATA / "map_p3_d0_lam2.json").read_text())
+        del obj["params"]["mode"]
+        with pytest.raises(ValueError, match="lacks field 'mode'"):
+            MapDocument.from_dict(obj)
+
+
 class TestMarkerCheck:
     def edited(self, edit):
         obj = document_for(ConstructionParams(5, 0, F(2))).to_dict()

@@ -19,11 +19,14 @@ from hypothesis import strategies as st
 
 from intervalmaps import (
     BranchBudgetError,
+    FixedPointContinuumError,
     PLMap,
     odd_type_map,
     parse_slope_text,
     square_root,
 )
+from intervalmaps.kernel import FLOAT_TOL
+from intervalmaps.plmap import _FloatEngine
 
 F = Fraction
 
@@ -270,3 +273,138 @@ def test_float_engine_pinned(p, d, slope_text):
     laps, counts = FLOAT_PINS[(p, d, slope_text)]
     assert m.lap_growth(12) == laps
     assert [len(m.periodic_points(q)) for q in range(1, 11)] == counts
+
+
+# Floating mode: one pass serves lap_growth and periodic_points in any order,
+# and every result equals the one a fresh map gives for that call alone.
+
+
+@pytest.fixture(scope="module")
+def float_maps():
+    m = odd_type_map(5, 1.9).map
+    return {"f5_1.9": m, "sqrt_f5_1.9": square_root(m)}
+
+
+FLOAT_NAMES = ["f5_1.9", "sqrt_f5_1.9"]
+
+
+class TestFloatCallOrder:
+    @pytest.fixture(scope="class")
+    def expected(self, float_maps):
+        return {
+            name: ({q: fresh(m).periodic_points(q) for q in range(1, 14)},
+                   fresh(m).lap_growth(12))
+            for name, m in float_maps.items()
+        }
+
+    @pytest.mark.parametrize("name", FLOAT_NAMES)
+    def test_laps_then_ascending_q(self, float_maps, expected, name):
+        m = fresh(float_maps[name])
+        points, laps = expected[name]
+        assert not m.is_exact
+        assert m.lap_growth(12) == laps
+        for q in range(1, 14):
+            assert m.periodic_points(q) == points[q], q
+
+    @pytest.mark.parametrize("name", FLOAT_NAMES)
+    def test_descending_q(self, float_maps, expected, name):
+        m = fresh(float_maps[name])
+        points, laps = expected[name]
+        for q in range(13, 0, -1):
+            assert m.periodic_points(q) == points[q], q
+        assert m.lap_growth(12) == laps
+
+    @pytest.mark.parametrize("name", FLOAT_NAMES)
+    def test_small_cap_then_default(self, float_maps, expected, name):
+        m = fresh(float_maps[name])
+        points, laps = expected[name]
+        with pytest.raises(BranchBudgetError) as err:
+            m.periodic_points(13, branch_cap=100)
+        done = err.value.completed_n
+        assert err.value.laps == []
+        assert m.periodic_points(13) == points[13]
+        with pytest.raises(BranchBudgetError) as again:  # f^13 is recorded now
+            m.periodic_points(13, branch_cap=100)
+        assert (again.value.completed_n, again.value.laps) == (done, [])
+        with pytest.raises(BranchBudgetError) as err:
+            m.lap_growth(12, branch_cap=100)
+        assert (err.value.completed_n, err.value.laps) == (done, laps[:done])
+        assert m.lap_growth(12) == laps
+        assert m.periodic_points(4) == points[4]
+
+
+def test_float_periodic_points_reuse_the_pass(float_maps, monkeypatch):
+    """After lap_growth(12), periodic points of f^1..f^12 are read from the
+    record, and f^13 is one refinement step away."""
+    steps = []
+    refine = _FloatEngine.refine
+
+    def counting(self, it, cap):
+        steps.append(it.n)
+        return refine(self, it, cap)
+
+    monkeypatch.setattr(_FloatEngine, "refine", counting)
+    m = fresh(float_maps["f5_1.9"])
+    m.lap_growth(12)
+    assert len(steps) == 11
+    for q in range(1, 13):
+        m.periodic_points(q)
+    assert len(steps) == 11
+    m.periodic_points(13)
+    assert steps[11:] == [12]
+
+
+def test_float_identity_iterate():
+    """x -> 1 - x in floats: the laps come from the pass, and f^2, the
+    identity, is reported when its fixed points are asked for."""
+    m = PLMap((0.0, 1.0), (1.0, 0.0))
+    assert m.lap_growth(5) == [1, 1, 1, 1, 1]
+    assert m.periodic_points(1) == [(0.5, 1)]
+    message = r"f\^2 is the identity on \[0.0, 1.0\] \(itinerary \(0, 0\)\)"
+    for call in (m.periodic_points, fresh(m).periodic_points):
+        with pytest.raises(FixedPointContinuumError, match=f"^{message}$"):
+            call(2)
+
+
+UNIT_FLOAT = st.floats(0, 1)
+NEAR = st.floats(0, FLOAT_TOL / 2)  # slack the domain clamp forgives
+
+
+@st.composite
+def float_maps_and_points(draw):
+    """A float self-map of [0, 1] with 1 to 6 pieces, and points to follow:
+    breakpoints, values, the domain ends, points up to FLOAT_TOL/2 outside
+    it, interior points and fixed points of f^1..f^4."""
+    pieces = draw(st.integers(1, 6))
+    # breakpoints at least 1/1000 apart keep every slope finite
+    inner = draw(st.lists(st.integers(1, 999).map(lambda k: k / 1000), min_size=pieces - 1,
+                          max_size=pieces - 1, unique=True))
+    values = draw(st.lists(UNIT_FLOAT, min_size=pieces + 1, max_size=pieces + 1))
+    assume(all(a != b for a, b in zip(values, values[1:])))
+    m = PLMap((0.0, *sorted(inner), 1.0), tuple(values))
+    m.lap_growth(4)
+    fixed = [x for fix in m._engine.fixed if isinstance(fix, list) for x in fix]
+    points = [*m.breakpoints, *m.values, *fixed, -draw(NEAR), 1 + draw(NEAR),
+              *draw(st.lists(UNIT_FLOAT, max_size=5))]
+    return m, points
+
+
+def eval_loop_return_time(m, x, n):
+    """return_time as a plain loop over the generic PLMap.eval."""
+    y = x
+    for j in range(1, n + 1):
+        y = m.eval(y)
+        if abs(y - x) <= FLOAT_TOL:
+            return j
+    return None
+
+
+@ENGINES_AGREE
+@given(float_maps_and_points())
+def test_float_return_time_matches_eval_loop(case):
+    m, points = case
+    for x in points:
+        assert m.return_time(x, 6) == eval_loop_return_time(m, x, 6), x
+    for x in (-2 * FLOAT_TOL, 1 + 2 * FLOAT_TOL):
+        with pytest.raises(ValueError, match="outside domain"):
+            m.return_time(x, 6)
