@@ -115,18 +115,20 @@ class MapDocument:
                 markers=None if markers is None else _markers_from_dict(markers),
                 provenance=dict(obj["provenance"]),
             )
-            mode = "rational" if doc.map.is_exact else "floating"
-            if params["mode"] != mode:
+            if doc.map.is_exact != is_exact(doc.params.slope):
                 raise ValueError(
-                    f"document field 'mode' must be {mode!r} for a {mode} map, "
+                    f"document field 'lambda' is {doc.mode} but the map is "
+                    f"{'rational' if doc.map.is_exact else 'floating'}"
+                )
+            if params["mode"] != doc.mode:
+                raise ValueError(
+                    f"document field 'mode' must be {doc.mode!r} for a {doc.mode} map, "
                     f"got {params['mode']!r}"
                 )
         except KeyError as exc:
             raise ValueError(f"document lacks field {exc}") from None
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"malformed document: {exc}") from None
-        if doc.mode != mode:
-            raise ValueError(f"document field 'lambda' is {doc.mode} but the map is {mode}")
         if doc.markers is not None:
             if doc.params.doublings != 0:
                 raise ValueError("markers belong to d = 0 documents only")

@@ -411,17 +411,10 @@ class PLMap:
     def return_time(self, x: Scalar, n: int) -> Optional[int]:
         """The least j <= n with f^j(x) = x (within the map's tol), or None.
 
-        Floating mode inlines eval with the same expressions, clamping only a
+        Each step is eval inlined with the same expressions, clamping only a
         point outside the domain."""
-        if self.is_exact:
-            tol = self.tol
-            y = x
-            for j in range(1, n + 1):
-                y = self.eval(y)
-                if abs(y - x) <= tol:
-                    return j
-            return None
         x = as_scalar(x)
+        tol = self.tol
         bps, vals, slopes = self.breakpoints, self.values, self.slopes
         lo, hi, last = bps[0], bps[-1], len(bps) - 1
         y = x
@@ -435,7 +428,7 @@ class PLMap:
                 y = vals[k]
             else:
                 y = vals[k] + (y - bps[k]) * slopes[k]
-            if abs(y - x) <= FLOAT_TOL:
+            if abs(y - x) <= tol:
                 return j
         return None
 
@@ -534,7 +527,8 @@ class _Engine:
         try:
             self.fixed.append(self.fixed_points(it))
         except _IdentityBranch as hit:
-            self.fixed.append(hit)
+            # without its traceback, whose frames would keep the iterate alive
+            self.fixed.append(hit.with_traceback(None))
 
     def advance(self, q: int, cap: int):
         for it in self.iterates(q, cap):
@@ -680,7 +674,6 @@ class _FloatEngine(_Engine):
         midpoint lands in."""
         bps, vals, slopes = self.bps, self.vals, self.slopes
         top = len(bps) - 2  # the last piece index
-        tb = [t * b for t, b in zip(slopes, bps)]
         lo: list = []
         hi: list = []
         slope: list = []
@@ -714,7 +707,7 @@ class _FloatEngine(_Engine):
                 lo.append(u)
                 hi.append(v)
                 slope.append(t * s)
-                offset.append(t * o + vals[j] - tb[j])
+                offset.append(t * o + vals[j] - t * bps[j])
                 u = v
             if len(lo) > cap:
                 raise _BranchCapHit()

@@ -9,9 +9,11 @@ Rational lap and branch counts come from the interval graph, not the branch
 engine, so random exact maps check the two against each other as well.
 """
 
+import gc
 import time
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from types import FrameType, TracebackType
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -26,7 +28,7 @@ from intervalmaps import (
     square_root,
 )
 from intervalmaps.kernel import FLOAT_TOL
-from intervalmaps.plmap import _FloatEngine
+from intervalmaps.plmap import _FloatEngine, _FloatIterate
 
 F = Fraction
 
@@ -366,6 +368,23 @@ def test_float_identity_iterate():
             call(2)
 
 
+def test_recorded_identity_keeps_no_iterate():
+    """An identity hit is recorded without its traceback, whose frames would
+    keep the iterate that raised it alive for the life of the map."""
+    m = PLMap((0.0, 1.0), (1.0, 0.0))
+    m.lap_growth(6)
+    hits = [fix for fix in m._engine.fixed if not isinstance(fix, list)]
+    assert len(hits) == 3  # f^2, f^4, f^6
+    seen, stack = set(), [m._engine.fixed]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, (_FloatIterate, FrameType, TracebackType)), obj
+        stack.extend(gc.get_referents(obj))
+
+
 UNIT_FLOAT = st.floats(0, 1)
 NEAR = st.floats(0, FLOAT_TOL / 2)  # slack the domain clamp forgives
 
@@ -394,17 +413,33 @@ def eval_loop_return_time(m, x, n):
     y = x
     for j in range(1, n + 1):
         y = m.eval(y)
-        if abs(y - x) <= FLOAT_TOL:
+        if abs(y - x) <= m.tol:
             return j
     return None
+
+
+def assert_return_times_match(m, points, outside):
+    for x in points:
+        assert m.return_time(x, 6) == eval_loop_return_time(m, x, 6), x
+    for x in outside:
+        with pytest.raises(ValueError, match="outside domain"):
+            m.return_time(x, 6)
 
 
 @ENGINES_AGREE
 @given(float_maps_and_points())
 def test_float_return_time_matches_eval_loop(case):
     m, points = case
-    for x in points:
-        assert m.return_time(x, 6) == eval_loop_return_time(m, x, 6), x
-    for x in (-2 * FLOAT_TOL, 1 + 2 * FLOAT_TOL):
-        with pytest.raises(ValueError, match="outside domain"):
-            m.return_time(x, 6)
+    assert_return_times_match(m, points, (-2 * FLOAT_TOL, 1 + 2 * FLOAT_TOL))
+
+
+@ENGINES_AGREE
+@given(exact_maps(), st.lists(UNIT, max_size=5), NEAR)
+def test_exact_return_time_matches_eval_loop(m, interior, near):
+    """The same loop on rational maps: exact points, fixed points of f^1..f^4,
+    and floats, which the clamp forgives up to FLOAT_TOL outside the domain
+    while a rational point outside it is refused."""
+    m.branches_of_iterate(4)
+    fixed = [F(*x) for fix in m._engine.fixed if isinstance(fix, list) for x in fix]
+    points = [*m.breakpoints, *m.values, *fixed, *interior, 0.5, -near, 1 + near]
+    assert_return_times_match(m, points, (F(-1, 10**9), 1 + F(1, 10**9), -2 * FLOAT_TOL))
