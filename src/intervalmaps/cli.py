@@ -301,6 +301,15 @@ def _run_cell(job) -> Tuple[int, int, str, dict]:
 
 def cmd_sweep(args) -> int:
     cap = _branch_cap(args)
+    for flag, value, least in (
+        ("--entropy-n", args.entropy_n, 3),
+        ("--type-q", args.type_q, 1),
+        ("--mixing-grid", args.mixing_grid, 1),
+        ("--mixing-cap", args.mixing_cap, 1),
+        ("--workers", args.workers, 1),
+    ):
+        if value < least:
+            raise _UsageError(f"{flag} must be >= {least}, got {value}")
     cells = _sweep_cells(args)
     os.makedirs(args.out_dir, exist_ok=True)
     jobs = [

@@ -37,6 +37,11 @@ __all__ = [
 
 def as_scalar(x) -> Scalar:
     """Coerce to a scalar: ints become exact rationals, floats must be finite."""
+    # exact type tests first: isinstance(x, Fraction) goes through ABCMeta
+    if type(x) is Fraction:
+        return x
+    if type(x) is float and math.isfinite(x):
+        return x
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):

@@ -23,13 +23,17 @@ results depend on.
 In rational mode a branch is four plain ints, numerators over two common
 denominators: its ends over D*L^(n-1) and their f^n values over D*R^(n-1),
 where D is the lcm of the denominators of the breakpoints and values and L, R
-are the lcms of the slopes' numerators and denominators. Fixed points are the
-sign changes of f^q(x) - x between branch ends, kept as reduced (num, den) int
-pairs: least periods are looked up in the recorded Fix(f^j) of the proper
-divisors j of q, and a Fraction is built only for the returned list. Floating
-mode carries each branch's slope and offset in binary64 and reads least
-periods as return times within FLOAT_TOL. No itinerary is stored; an error
-that names one recomputes it from a point's orbit.
+are the lcms of the slopes' numerators and denominators. A branch whose image
+holds no breakpoint (about three quarters of them) passes to f^(n+1) as one
+fragment, without a cut. Fixed points are the sign changes of f^q(x) - x
+between branch ends, kept as reduced (num, den) int pairs: least periods are
+looked up in the recorded Fix(f^j) of the proper divisors j of q, and a
+Fraction is built only for the returned list. Exact interval images use the
+same lattice: a rational end's piece is a bisection over the int breakpoint
+numerators, and its value one Fraction. Floating mode carries each branch's
+slope and offset in binary64 and reads least periods as return times within
+FLOAT_TOL. No itinerary is stored; an error that names one recomputes it from
+a point's orbit.
 
 Maps are immutable and results are sorted and deterministic; the cursor and
 the record are caches that never change what a call returns.
@@ -224,7 +228,29 @@ class PLMap:
 
     def image(self, a: Interval) -> Interval:
         """Exact set-image of a closed subinterval: extrema over the endpoint
-        values and the values at breakpoints interior to a."""
+        values and the values at breakpoints interior to a.
+
+        On an exact map, rational ends inside the domain are placed on the
+        engine's integer lattice: x = num/den lies at num*D/den over 1/D, so
+        its piece is a bisection over the ints B and its value one Fraction.
+        """
+        if self.is_exact and type(a.lo) is Fraction and type(a.hi) is Fraction:
+            e = self._engine
+            D, B, V, A, R = e.D, e.B, e.V, e.A, e.R
+            ends = []
+            for x in (a.lo, a.hi):
+                den = x.denominator
+                at = x.numerator * D
+                if not B[0] * den <= at <= B[-1] * den:
+                    break  # outside the domain: _clamp below raises
+                k = bisect_right(B, at // den) - 1
+                off = at - B[k] * den  # 0 on the breakpoint B[k]
+                y = Fraction(V[k] * R * den + A[k] * off, D * R * den) if off else self.values[k]
+                ends.append((k, off, y))
+            else:
+                (k0, _, y0), (k1, off, y1) = ends
+                vals = [y0, y1, *self.values[k0 + 1 : k1 + 1 if off else k1]]
+                return Interval(min(vals), max(vals))
         lo = self._clamp(a.lo)
         hi = self._clamp(a.hi)
         vals = [self.eval(lo), self.eval(hi)]
@@ -578,28 +604,37 @@ class _ExactEngine(_Engine):
         for P, Q, U, W in zip(it.lo, it.hi, it.flo, it.fhi):
             if U < W:
                 first, last = bisect_right(bs, U), bisect_left(bs, W)
-                j0, j1, cut_at = first - 1, last - 1, range(first, last)
             else:
                 first, last = bisect_right(bs, W), bisect_left(bs, U)
-                j0, j1, cut_at = last - 1, first - 1, range(last - 1, first - 1, -1)
-            x0, x1 = P * L, Q * L
-            xs = [x0]
-            ys = [vs[j0] + A[j0] * (U - bs[j0])]
-            for i in cut_at:
-                step, rem = divmod((x1 - x0) * (bs[i] - U), W - U)
-                if rem:
-                    raise ArithmeticError(
-                        f"cut of f^{it.n} at breakpoint {i} is not a multiple "
-                        f"of 1/{self.D * L ** it.n}"
-                    )
-                xs.append(x0 + step)
-                ys.append(vs[i])
-            xs.append(x1)
-            ys.append(vs[j1] + A[j1] * (W - bs[j1]))
-            lo += xs[:-1]
-            hi += xs[1:]
-            flo += ys[:-1]
-            fhi += ys[1:]
+            if first == last:  # no breakpoint inside the image: one fragment
+                j = first - 1
+                lo.append(P * L)
+                hi.append(Q * L)
+                flo.append(vs[j] + A[j] * (U - bs[j]))
+                fhi.append(vs[j] + A[j] * (W - bs[j]))
+            else:
+                if U < W:
+                    j0, j1, cut_at = first - 1, last - 1, range(first, last)
+                else:
+                    j0, j1, cut_at = last - 1, first - 1, range(last - 1, first - 1, -1)
+                x0, x1 = P * L, Q * L
+                xs = [x0]
+                ys = [vs[j0] + A[j0] * (U - bs[j0])]
+                for i in cut_at:
+                    step, rem = divmod((x1 - x0) * (bs[i] - U), W - U)
+                    if rem:
+                        raise ArithmeticError(
+                            f"cut of f^{it.n} at breakpoint {i} is not a multiple "
+                            f"of 1/{self.D * L ** it.n}"
+                        )
+                    xs.append(x0 + step)
+                    ys.append(vs[i])
+                xs.append(x1)
+                ys.append(vs[j1] + A[j1] * (W - bs[j1]))
+                lo += xs[:-1]
+                hi += xs[1:]
+                flo += ys[:-1]
+                fhi += ys[1:]
             if len(lo) > cap:
                 raise _BranchCapHit()
         return _ExactIterate(it.n + 1, lo, hi, flo, fhi)

@@ -236,6 +236,23 @@ class TestSweep:
         assert "usage error: target entropy inf is not finite" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--entropy-n", "2", "--entropy-n must be >= 3, got 2"),
+        ("--type-q", "0", "--type-q must be >= 1, got 0"),
+        ("--mixing-grid", "0", "--mixing-grid must be >= 1, got 0"),
+        ("--mixing-cap", "0", "--mixing-cap must be >= 1, got 0"),
+        ("--workers", "0", "--workers must be >= 1, got 0"),
+        ("--workers", "-3", "--workers must be >= 1, got -3"),
+    ])
+    def test_grid_wide_argument_usage_error(self, tmp_path, capsys, flag, value, message):
+        """A bad argument shared by every cell is refused before the output
+        directory is made, not written as an error row per cell."""
+        out_dir = tmp_path / "cells"
+        code = main(["sweep", "--p", "3", "--lambda", "2", flag, value, "--out-dir", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out_dir.exists()
+
     def test_empty_grid_usage_error(self, tmp_path, capsys):
         code = main(["sweep", "--p", "", "--out-dir", str(tmp_path / "x")])
         assert code == 1
@@ -427,9 +444,10 @@ class TestMalformedDocument:
 class TestEngineEntryPoints:
     """The public PLMap methods a type check and a floating sweep cell go
     through: periodic points and the float pass advance only by
-    branches_of_iterate, and an exact type check never counts laps."""
+    branches_of_iterate, mixing takes its images through PLMap.image, and an
+    exact type check never counts laps."""
 
-    NAMES = ("branches_of_iterate", "periodic_points", "lap_growth")
+    NAMES = ("branches_of_iterate", "periodic_points", "lap_growth", "image")
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -456,6 +474,7 @@ class TestEngineEntryPoints:
         assert main(argv) == 0
         assert calls["branches_of_iterate"] > 0
         assert calls["periodic_points"] > 0
+        assert calls["image"] > 0
         assert calls["lap_growth"] == 0
 
     def test_float_sweep_cell(self, tmp_path, capsys, calls):

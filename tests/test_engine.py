@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from intervalmaps import (
     BranchBudgetError,
     FixedPointContinuumError,
+    Interval,
     PLMap,
     odd_type_map,
     parse_slope_text,
@@ -443,3 +444,36 @@ def test_exact_return_time_matches_eval_loop(m, interior, near):
     fixed = [F(*x) for fix in m._engine.fixed if isinstance(fix, list) for x in fix]
     points = [*m.breakpoints, *m.values, *fixed, *interior, 0.5, -near, 1 + near]
     assert_return_times_match(m, points, (F(-1, 10**9), 1 + F(1, 10**9), -2 * FLOAT_TOL))
+
+
+def ref_image(m, lo, hi, evaluate):
+    """The extrema of evaluate at both ends and the breakpoints inside."""
+    ys = [evaluate(x) for x in (lo, hi, *(b for b in m.breakpoints if lo < b < hi))]
+    return min(ys), max(ys)
+
+
+def typed(*xs):
+    return [(type(x), x) for x in xs]
+
+
+@ENGINES_AGREE
+@given(exact_maps(), st.data())
+def test_lattice_image_matches_reference(m, data):
+    """PLMap.image with rational ends, placed on the engine's integer lattice,
+    against plain Fraction evaluation: a random subinterval, degenerate ones,
+    ends on breakpoints and the whole domain. A rational end outside the
+    domain is refused, and float ends keep the generic path through eval."""
+    bps = m.breakpoints
+    point = st.one_of(st.sampled_from(bps), st.fractions(0, 1, max_denominator=10**6))
+    a, b = sorted(data.draw(st.lists(point, min_size=2, max_size=2)))
+    i, j = sorted(data.draw(st.lists(st.integers(0, len(bps) - 1), min_size=2, max_size=2)))
+    cases = [(a, b), (a, a), (bps[i], bps[j]), (bps[0], bps[-1]), *((x, x) for x in bps)]
+    for lo, hi in cases:
+        image = m.image(Interval(lo, hi))
+        assert typed(image.lo, image.hi) == typed(*ref_image(m, lo, hi, lambda x: ref_eval(m, x)))
+        lo, hi = float(lo), float(hi)
+        image = m.image(Interval(lo, hi))
+        assert typed(image.lo, image.hi) == typed(*ref_image(m, lo, hi, m.eval))
+    for outside in (Interval(-F(1, 10**9), b), Interval(a, 1 + F(1, 10**9))):
+        with pytest.raises(ValueError, match="outside domain"):
+            m.image(outside)
