@@ -41,7 +41,6 @@ from .kernel import (
     Scalar,
     as_scalar,
     eval_slope_poly,
-    eval_slope_quotient,
     is_exact,
     minimal_slope,
     minimal_slope_bracket,
@@ -84,7 +83,6 @@ __all__ = [
     "build_covering_graph",
     "estimate_entropy",
     "eval_slope_poly",
-    "eval_slope_quotient",
     "expected_period_set",
     "is_exact",
     "minimal_slope",

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage or I/O error, 2 certification refuted,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -37,8 +38,6 @@ EXIT_USAGE = 1
 EXIT_REFUTED = 2
 EXIT_BUDGET = 3
 
-ENV_BRANCH_CAP = "INTERVALMAPS_BRANCH_CAP"
-
 
 class _UsageError(Exception):
     pass
@@ -57,18 +56,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _branch_cap(args) -> int:
-    if args.branch_cap is not None:
-        cap, source = args.branch_cap, "--branch-cap"
-    elif os.environ.get(ENV_BRANCH_CAP):
-        cap, source = int(os.environ[ENV_BRANCH_CAP]), ENV_BRANCH_CAP
-    else:
-        return DEFAULT_BRANCH_CAP
-    if cap < 1:
-        raise _UsageError(f"{source} must be a positive integer, got {cap}")
-    return cap
+    if args.branch_cap < 1:
+        raise _UsageError(f"--branch-cap must be a positive integer, got {args.branch_cap}")
+    return args.branch_cap
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once: parse_args keeps no state between calls."""
     ap = _Parser(
         prog="intervalmaps",
         description="Construct and certify piecewise-linear interval maps of "
@@ -106,7 +101,7 @@ def _build_parser() -> _Parser:
     )
     a.add_argument("--graph", default=None, metavar="DOT_PATH")
     a.add_argument("--csv", dest="csv_path", default=None, metavar="CSV_PATH")
-    a.add_argument("--branch-cap", type=int, default=None)
+    a.add_argument("--branch-cap", type=int, default=DEFAULT_BRANCH_CAP)
 
     s = sub.add_parser("sweep", help="construct and certify a parameter grid")
     s.add_argument("--p", default="3", help="comma list of odd periods")
@@ -130,7 +125,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--mixing-grid", type=int, default=16)
     s.add_argument("--mixing-cap", type=int, default=200)
     s.add_argument("--workers", type=int, default=1)
-    s.add_argument("--branch-cap", type=int, default=None)
+    s.add_argument("--branch-cap", type=int, default=DEFAULT_BRANCH_CAP)
 
     p = sub.add_parser("plot", help="render a document as SVG")
     p.add_argument("path", help="map document to plot")
@@ -310,6 +305,12 @@ def cmd_sweep(args) -> int:
     ):
         if value < least:
             raise _UsageError(f"{flag} must be >= {least}, got {value}")
+    try:  # each d = 0 cell parses it again, as lambda_p depends on p
+        width_ok = parse_slope_text(args.mixing_width, 3) > 0
+    except ValueError:
+        width_ok = False
+    if not width_ok:
+        raise _UsageError(f"--mixing-width must be a positive number, got {args.mixing_width}")
     cells = _sweep_cells(args)
     os.makedirs(args.out_dir, exist_ok=True)
     jobs = [

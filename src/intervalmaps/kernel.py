@@ -24,7 +24,6 @@ __all__ = [
     "Scalar",
     "as_scalar",
     "eval_slope_poly",
-    "eval_slope_quotient",
     "is_exact",
     "minimal_slope",
     "minimal_slope_bracket",
@@ -100,10 +99,6 @@ class IntPolynomial:
             raise ValueError("leading coefficient must be nonzero")
         object.__setattr__(self, "coeffs", cs)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __call__(self, x: Scalar) -> Scalar:
         """Horner evaluation; exact when x is rational."""
         acc: Scalar = Fraction(0)
@@ -143,15 +138,6 @@ def slope_poly_quotient(p: int) -> IntPolynomial:
 def eval_slope_poly(p: int, x: Scalar) -> Scalar:
     """Evaluate X^p - 2 X^(p-2) - 1; exact for rational x."""
     return slope_poly(p)(as_scalar(x))
-
-
-def eval_slope_quotient(p: int, x: Scalar) -> Scalar:
-    """Evaluate the quotient of slope_poly(p) by (X + 1); exact for rational x.
-
-    Its sign at x tells whether x is below or above the minimal slope, which is
-    what decides whether the middle tent block of the construction is present.
-    """
-    return slope_poly_quotient(p)(as_scalar(x))
 
 
 def minimal_slope_bracket(p: int, tol: float = 1e-12) -> Tuple[float, float]:

@@ -6,9 +6,11 @@ cutting each branch of f^(q-1) where it crosses a breakpoint of f. One pass per
 map builds each iterate once and records, for every f^n it builds, the branch
 count and Fix(f^n) (in floating mode also the lap count). A one-slot cursor
 keeps the last iterate, so the pass goes on from it: periodic_points(q) and
-floating lap_growth(n) build only the iterates past the record, and a request
-behind it is a lookup. Only an explicit branches_of_iterate(q) behind the
-cursor restarts from f^1.
+floating lap_growth(n) build only the iterates past the record, through
+branches_of_iterate, and a request behind it is a lookup that checks the cap
+against the recorded counts. Only an explicit branches_of_iterate(q) behind
+the cursor restarts from f^1. Under any call order, the first f^n over the
+branch cap raises BranchBudgetError(cap, n - 1).
 
 Lap counts of iterates (hence the entropy estimate) need no branches in
 rational mode. L(f^n) is 1 + the number of points whose orbit meets a turning
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import ne
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .kernel import FLOAT_TOL, Scalar, _tolerance, as_scalar, is_exact
 
@@ -69,15 +71,15 @@ __all__ = [
 
 
 class BranchBudgetError(RuntimeError):
-    """Branch refinement exceeded its cap. Carries the completed prefix."""
+    """Some f^n has more branches than the cap; f^completed_n, the iterate
+    before it, is the largest within the cap."""
 
-    def __init__(self, cap: int, completed_n: int, laps):
+    def __init__(self, cap: int, completed_n: int):
         super().__init__(
             f"branch budget {cap} exceeded; largest completed iterate n={completed_n}"
         )
         self.cap = cap
         self.completed_n = completed_n
-        self.laps = list(laps)
 
 
 class FixedPointContinuumError(RuntimeError):
@@ -88,10 +90,6 @@ class FixedPointContinuumError(RuntimeError):
 class OrbitNotClosedError(RuntimeError):
     """A floating-mode fixed point of f^q does not return within FLOAT_TOL in
     q steps. A wider tolerance would merge distinct periodic points."""
-
-
-class _BranchCapHit(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -261,12 +259,6 @@ class PLMap:
 
     # -- laps ----------------------------------------------------------------
 
-    def lap_count(self) -> int:
-        """Number of maximal monotonicity intervals; adjacent pieces with the
-        same strict direction merge into one lap."""
-        dirs = [s > 0 for s in self.slopes]
-        return 1 + sum(1 for a, b in zip(dirs, dirs[1:]) if a != b)
-
     def is_constant_slope(self, target: Scalar, tol: Scalar = 0) -> SlopeReport:
         """Check that every piece has |slope| within tol of target."""
         target = as_scalar(target)
@@ -292,6 +284,17 @@ class PLMap:
             raise ValueError("q must be >= 1")
         return self._engine.advance(q, branch_cap)
 
+    def _recorded(self, n: int, branch_cap: int) -> "_Engine":
+        """The engine, with f^1..f^n recorded within branch_cap: an n past the
+        record goes on with branches_of_iterate, and one already passed only
+        checks the cap against the recorded branch counts."""
+        engine = self._engine
+        if not 1 <= n <= len(engine.counts):
+            self.branches_of_iterate(n, branch_cap)  # raises ValueError for n < 1
+        else:
+            engine.check_budget(n, branch_cap)
+        return engine
+
     def lap_growth(
         self, n_max: int, branch_cap: int = DEFAULT_BRANCH_CAP
     ) -> List[int]:
@@ -304,22 +307,12 @@ class PLMap:
         building any branch. Floating mode reads the laps the branch pass
         records, going on with branches_of_iterate past the last iterate
         recorded. The first n whose branch count exceeds the cap raises
-        BranchBudgetError naming n - 1 as the largest completed iterate (its
-        .laps holds the completed prefix).
+        BranchBudgetError naming n - 1 as the largest completed iterate.
         """
         if n_max < 1:
             raise ValueError("n_max must be >= 1")
         if not self.is_exact:
-            engine = self._engine
-            try:
-                if n_max > len(engine.laps):
-                    self.branches_of_iterate(n_max, branch_cap)
-                else:
-                    engine.check_budget(n_max, branch_cap)
-            except BranchBudgetError as err:
-                done = err.completed_n
-                raise BranchBudgetError(branch_cap, done, engine.laps[:done]) from None
-            return engine.laps[:n_max]
+            return self._recorded(n_max, branch_cap).laps[:n_max]
         inner = self.breakpoints[1:-1]
         rising = [s > 0 for s in self.slopes]
         turning = tuple(b for b, u, w in zip(inner, rising, rising[1:]) if u != w)
@@ -327,7 +320,7 @@ class PLMap:
         laps = counts if turning == inner else self._hits(turning, n_max)
         for n, count in enumerate(counts, 1):
             if count > branch_cap:
-                raise BranchBudgetError(branch_cap, n - 1, laps[: n - 1])
+                raise BranchBudgetError(branch_cap, n - 1)
         return laps
 
     def _hits(self, cuts: Tuple[Scalar, ...], n_max: int) -> List[int]:
@@ -403,14 +396,10 @@ class PLMap:
         OrbitNotClosedError. A branch on which f^q is the identity raises
         FixedPointContinuumError.
         """
-        engine = self._engine
-        if not 1 <= q <= len(engine.counts):
-            self.branches_of_iterate(q, branch_cap)  # raises ValueError for q < 1
-        else:
-            engine.check_budget(q, branch_cap)
+        engine = self._recorded(q, branch_cap)
         points = engine.fixed[q - 1]
         if isinstance(points, _IdentityBranch):
-            lo, hi = points.args
+            lo, hi = points
             itinerary = self._itinerary((lo + hi) / 2, q)
             raise FixedPointContinuumError(
                 f"f^{q} is the identity on [{lo}, {hi}] (itinerary {itinerary})"
@@ -470,8 +459,12 @@ class PLMap:
         )
 
 
-class _IdentityBranch(Exception):
-    """f^n is the identity on the branch [lo, hi] given as the arguments."""
+class _IdentityBranch(NamedTuple):
+    """f^n is the identity on the branch [lo, hi]; fixed_points returns it in
+    place of the fixed points, which are not isolated."""
+
+    lo: Scalar
+    hi: Scalar
 
 
 class _ExactIterate:
@@ -515,51 +508,38 @@ class _Engine:
 
     def __init__(self) -> None:
         self.counts: List[int] = []
-        # fixed[n - 1]: Fix(f^n) as fixed_points returns it, or the
-        # _IdentityBranch it raised, which periodic_points(n) reports
+        # fixed[n - 1]: Fix(f^n) as fixed_points returns it, either the points
+        # or the _IdentityBranch that periodic_points(n) reports
         self.fixed: list = []
         self.last = None
 
     def check_budget(self, q: int, cap: int) -> None:
         for n, count in enumerate(self.counts[:q], 1):
             if count > cap:
-                raise BranchBudgetError(cap, n - 1, [])
+                raise BranchBudgetError(cap, n - 1)
 
-    def iterates(self, q: int, cap: int):
-        """Yield f^n for n from the cursor (or 1) up to q. The first n <= q
-        whose branch count exceeds cap raises BranchBudgetError."""
+    def advance(self, q: int, cap: int):
+        """f^q, built from the cursor (or from f^1 when q is behind it). The
+        first n <= q whose branch count exceeds cap raises BranchBudgetError."""
         self.check_budget(q, cap)
         it = self.last
         if it is None or it.n > q:
             it = self.first()
             if len(it) > cap:
-                raise BranchBudgetError(cap, 0, [])
+                raise BranchBudgetError(cap, 0)
         while True:
             if it.n > len(self.counts):
                 self.record(it)
             self.last = it
-            yield it
             if it.n == q:
-                return
-            try:
-                it = self.refine(it, cap)
-            except _BranchCapHit:
-                raise BranchBudgetError(cap, it.n, []) from None
+                return it
+            it = self.refine(it, cap)
 
     def record(self, it) -> None:
         """Keep the branch count and fixed points of an iterate built for the
         first time."""
         self.counts.append(len(it))
-        try:
-            self.fixed.append(self.fixed_points(it))
-        except _IdentityBranch as hit:
-            # without its traceback, whose frames would keep the iterate alive
-            self.fixed.append(hit.with_traceback(None))
-
-    def advance(self, q: int, cap: int):
-        for it in self.iterates(q, cap):
-            pass
-        return it
+        self.fixed.append(self.fixed_points(it))
 
 
 class _ExactEngine(_Engine):
@@ -636,13 +616,14 @@ class _ExactEngine(_Engine):
                 flo += ys[:-1]
                 fhi += ys[1:]
             if len(lo) > cap:
-                raise _BranchCapHit()
+                raise BranchBudgetError(cap, it.n)
         return _ExactIterate(it.n + 1, lo, hi, flo, fhi)
 
-    def fixed_points(self, it: _ExactIterate) -> List[Tuple[int, int]]:
+    def fixed_points(self, it: _ExactIterate) -> List[Tuple[int, int]] | _IdentityBranch:
         """Fix(f^n) in domain order: where f^n(x) - x changes sign on a branch.
         Each point is a reduced pair (num, den) with den > 0, so equal points
-        are equal pairs."""
+        are equal pairs. A branch on which f^n is the identity is returned as
+        an _IdentityBranch instead."""
         sx, sy = self.L ** (it.n - 1), self.R ** (it.n - 1)
         X = self.D * sx
         out: List[Tuple[int, int]] = []
@@ -651,7 +632,7 @@ class _ExactEngine(_Engine):
             g1 = W * sx - Q * sy
             if g0 == 0:
                 if g1 == 0:
-                    raise _IdentityBranch(Fraction(P, X), Fraction(Q, X))
+                    return _IdentityBranch(Fraction(P, X), Fraction(Q, X))
                 num, den = P, X
             elif g1 == 0:
                 num, den = Q, X
@@ -669,7 +650,7 @@ class _ExactEngine(_Engine):
 
     def least_periods(self, points: List[Tuple[int, int]], q: int) -> List[int]:
         """Each point's least divisor j of q with the point in Fix(f^j). The
-        pass has recorded every f^j with j <= q; none raised _IdentityBranch,
+        pass has recorded every f^j with j <= q; none is an _IdentityBranch,
         since f^q is then the identity there too."""
         proper = [(j, self._fixed_set(j)) for j in _divisors(q)[:-1]]
         return [next((j for j, fix in proper if x in fix), q) for x in points]
@@ -745,17 +726,18 @@ class _FloatEngine(_Engine):
                 offset.append(t * o + vals[j] - t * bps[j])
                 u = v
             if len(lo) > cap:
-                raise _BranchCapHit()
+                raise BranchBudgetError(cap, it.n)
         return _FloatIterate(it.n + 1, lo, hi, slope, offset)
 
-    def fixed_points(self, it: _FloatIterate) -> List[float]:
+    def fixed_points(self, it: _FloatIterate) -> List[float] | _IdentityBranch:
         """Fix(f^n) sorted, each branch solved from its affine formula and
-        duplicates within MERGE_TOL merged."""
+        duplicates within MERGE_TOL merged, or the first branch on which f^n
+        is the identity as an _IdentityBranch."""
         raw = []
         for a, b, s, o in zip(it.lo, it.hi, it.slope, it.offset):
             if s == 1:
                 if o == 0:
-                    raise _IdentityBranch(a, b)
+                    return _IdentityBranch(a, b)
                 continue  # translation: no fixed point on this branch
             x = o / (1 - s)
             if a - MERGE_TOL <= x <= b + MERGE_TOL:

@@ -1,11 +1,16 @@
+import importlib
+import inspect
 import json
 import math
+import re
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from intervalmaps import verify_type
-from intervalmaps.cli import main
+from intervalmaps.cli import _build_parser, main
 from intervalmaps.document import MapDocument, load_document
 
 F = Fraction
@@ -155,12 +160,6 @@ class TestAnalyze:
         code = main(["analyze", str(path), "--type", "13", "--branch-cap", "50"])
         assert code == 3
 
-    def test_budget_env_var(self, tmp_path, capsys, monkeypatch):
-        path = construct(tmp_path, "--p", "5", "--lambda", "2")
-        capsys.readouterr()
-        monkeypatch.setenv("INTERVALMAPS_BRANCH_CAP", "50")
-        assert main(["analyze", str(path), "--type", "13"]) == 3
-
     def test_missing_file_exits_one(self, capsys):
         assert main(["analyze", "/no/such/file.json"]) == 1
 
@@ -243,15 +242,29 @@ class TestSweep:
         ("--mixing-cap", "0", "--mixing-cap must be >= 1, got 0"),
         ("--workers", "0", "--workers must be >= 1, got 0"),
         ("--workers", "-3", "--workers must be >= 1, got -3"),
+        ("--mixing-width", "0", "--mixing-width must be a positive number, got 0"),
+        ("--mixing-width", "-1/2", "--mixing-width must be a positive number, got -1/2"),
+        ("--mixing-width", "abc", "--mixing-width must be a positive number, got abc"),
     ])
     def test_grid_wide_argument_usage_error(self, tmp_path, capsys, flag, value, message):
         """A bad argument shared by every cell is refused before the output
         directory is made, not written as an error row per cell."""
         out_dir = tmp_path / "cells"
-        code = main(["sweep", "--p", "3", "--lambda", "2", flag, value, "--out-dir", str(out_dir)])
+        code = main(["sweep", "--p", "3", "--lambda", "2", f"{flag}={value}",
+                     "--out-dir", str(out_dir)])
         assert code == 1
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not out_dir.exists()
+
+    def test_lambda_p_mixing_width(self, tmp_path, capsys):
+        """lambda_p is a valid width for each cell's own p."""
+        out_dir = tmp_path / "cells"
+        code = main(["sweep", "--p", "3,5", "--entropy-n", "6", "--type-q", "5",
+                     "--mixing-grid", "4", "--mixing-width", "lambda_p",
+                     "--out-dir", str(out_dir)])
+        assert code == 0
+        rows = (out_dir / "summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[5] for row in rows] == ["consistent", "consistent"]
 
     def test_empty_grid_usage_error(self, tmp_path, capsys):
         code = main(["sweep", "--p", "", "--out-dir", str(tmp_path / "x")])
@@ -330,22 +343,6 @@ class TestBranchCapValidation:
         assert main(["sweep", "--out-dir", str(out_dir), "--branch-cap", cap]) == 1
         assert "--branch-cap must be a positive integer" in capsys.readouterr().err
         assert not out_dir.exists()
-
-    @pytest.mark.parametrize("cap", ["0", "-5"])
-    def test_env_var_rejected(self, tmp_path, capsys, monkeypatch, cap):
-        path = construct(tmp_path, "--p", "3", "--lambda", "2")
-        capsys.readouterr()
-        monkeypatch.setenv("INTERVALMAPS_BRANCH_CAP", cap)
-        assert main(["analyze", str(path), "--type", "3"]) == 1
-        assert "INTERVALMAPS_BRANCH_CAP must be a positive integer" in capsys.readouterr().err
-        assert main(["sweep", "--out-dir", str(tmp_path / "cells")]) == 1
-        assert "INTERVALMAPS_BRANCH_CAP must be a positive integer" in capsys.readouterr().err
-
-    def test_flag_overrides_env_var(self, tmp_path, capsys, monkeypatch):
-        path = construct(tmp_path, "--p", "3", "--lambda", "2")
-        capsys.readouterr()
-        monkeypatch.setenv("INTERVALMAPS_BRANCH_CAP", "0")
-        assert main(["analyze", str(path), "--type", "3", "--branch-cap", "1000"]) == 0
 
 
 class TestMalformedDocument:
@@ -482,3 +479,46 @@ class TestEngineEntryPoints:
                 "--type-q", "6", "--mixing-grid", "4", "--out-dir", str(tmp_path / "cells")]
         assert main(argv) == 0
         assert all(calls[name] > 0 for name in self.NAMES), calls
+
+
+class TestParserReuse:
+    """main builds its parser once; consecutive in-process calls give the
+    same output as each call made with a freshly built parser."""
+
+    def run(self, capsys, argv, fresh):
+        if fresh:
+            _build_parser.cache_clear()
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, re.sub(r'"created": "[^"]*"', '"created": ""', out), err
+
+    @pytest.mark.parametrize("first, second", [
+        (["construct", "--p", "3", "--no-rescale", "--d", "1"], ["construct", "--p", "3", "--d", "1"]),
+        (["analyze", "{path}", "--entropy", "8"], ["analyze", "{path}", "--type", "5"]),
+    ], ids=["construct", "analyze"])
+    def test_calls_share_no_state(self, tmp_path, capsys, first, second):
+        path = str(construct(tmp_path, "--p", "3", "--lambda", "2"))
+        capsys.readouterr()
+        first, second = ([a.format(path=path) for a in argv] for argv in (first, second))
+        alone = [self.run(capsys, argv, fresh=True) for argv in (first, second)]
+        _build_parser.cache_clear()
+        together = [self.run(capsys, argv, fresh=False) for argv in (first, second)]
+        assert together == alone
+        assert alone[0] != alone[1]
+
+
+class TestBenchmarkTargets:
+    def test_span_targets_resolve(self):
+        """Every function the benchmark traces exists on the package, and
+        branches_of_iterate keeps the parameter the trace counts steps from."""
+        workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        targets = runpy.run_path(str(workloads), run_name="perfbench_workloads")["SPAN_TARGETS"]
+        assert targets
+        for _span, module, attr in targets:
+            holder = importlib.import_module(f"intervalmaps.{module}")
+            for name in attr.split("."):
+                holder = getattr(holder, name)
+            assert callable(holder), (module, attr)
+        from intervalmaps.plmap import PLMap
+
+        assert list(inspect.signature(PLMap.branches_of_iterate).parameters)[:2] == ["self", "q"]

@@ -10,11 +10,11 @@ from intervalmaps import (
     Interval,
     PLMap,
     SlopeBelowMinimumError,
-    eval_slope_quotient,
     minimal_slope,
     odd_type_map,
     orbit_and_t,
     parse_slope_text,
+    slope_poly_quotient,
     square_root,
     stefan_map,
 )
@@ -94,7 +94,7 @@ class TestOrbit:
     @given(slope=SLOPES_ABOVE_MIN, p=st.sampled_from([3, 5, 7]))
     def test_t_gap_is_quotient_value(self, slope, p):
         _, t = orbit_and_t(p, slope)
-        assert t - 1 / slope == eval_slope_quotient(p, slope) / slope ** (p - 1)
+        assert t - 1 / slope == slope_poly_quotient(p)(slope) / slope ** (p - 1)
 
     @pytest.mark.parametrize("p", [7, 9, 11])
     @pytest.mark.parametrize("slope", [F(2), F(5, 2)])

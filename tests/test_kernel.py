@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from intervalmaps import (
     IntPolynomial,
     eval_slope_poly,
-    eval_slope_quotient,
     is_exact,
     minimal_slope,
     minimal_slope_bracket,
@@ -58,8 +57,8 @@ class TestPolynomials:
 
     def test_quotient_values(self):
         # values fixed from the synthetic-division oracle
-        assert eval_slope_quotient(3, Fraction(1)) == -1
-        assert eval_slope_quotient(3, Fraction(2)) == 1
+        assert slope_poly_quotient(3)(Fraction(1)) == -1
+        assert slope_poly_quotient(3)(Fraction(2)) == 1
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -69,14 +68,14 @@ class TestPolynomials:
         p=st.sampled_from([3, 5, 7]),
     )
     def test_factorization(self, x, p):
-        assert eval_slope_poly(p, x) == (x + 1) * eval_slope_quotient(p, x)
+        assert eval_slope_poly(p, x) == (x + 1) * slope_poly_quotient(p)(x)
 
     def test_rejects_bad_p(self):
         for bad in (2, 4, 1, 0, -3):
             with pytest.raises(ValueError):
                 eval_slope_poly(bad, Fraction(1))
             with pytest.raises(ValueError):
-                eval_slope_quotient(bad, Fraction(1))
+                slope_poly_quotient(bad)
 
     def test_leading_zero_rejected(self):
         with pytest.raises(ValueError):

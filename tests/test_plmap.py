@@ -122,19 +122,20 @@ class TestImage:
 
 class TestLaps:
     def test_lap_counts(self, f32, f52):
-        assert f32.map.lap_count() == 4
-        assert f52.map.lap_count() == 6
+        assert f32.map.lap_growth(1) == [4]
+        assert f52.map.lap_growth(1) == [6]
 
     def test_stefan_rescaled(self):
-        assert stefan_map(3).rescaled_to_unit().lap_count() == 2
+        assert stefan_map(3).rescaled_to_unit().lap_growth(1) == [2]
 
     def test_same_direction_pieces_merge(self, stefan5):
         # slopes -1, -2, -1, +2: three falling pieces form one lap
-        assert stefan5.lap_count() == 2
+        assert stefan5.lap_growth(1) == [2]
 
     def test_lap_growth_base_case(self, f32, f52, stefan5):
-        for m in (f32.map, f52.map, stefan5):
-            assert m.lap_growth(1) == [m.lap_count()]
+        for m, laps in ((f32.map, 4), (f52.map, 6), (stefan5, 2)):
+            assert m.lap_growth(1) == [laps]
+            assert m.lap_growth(5)[0] == laps
 
     def test_lap_growth_prefix(self, f32):
         # frozen from a by-hand branch refinement of f, f^2, f^3, f^4
@@ -173,9 +174,15 @@ class TestLaps:
     def test_budget_error(self, f32):
         with pytest.raises(BranchBudgetError) as err:
             f32.map.lap_growth(12, branch_cap=40)
-        assert err.value.completed_n >= 1
-        assert err.value.laps == f32.map.lap_growth(err.value.completed_n)
-        assert str(err.value.completed_n) in str(err.value)
+        done = err.value.completed_n
+        assert done >= 1
+        assert str(done) in str(err.value)
+        # the completed prefix is within the cap, and the engine agrees on it
+        assert f32.map.lap_growth(done, branch_cap=40) == f32.map.lap_growth(done)
+        for call in (f32.map.periodic_points, f32.map.branches_of_iterate):
+            with pytest.raises(BranchBudgetError) as again:
+                call(12, branch_cap=40)
+            assert again.value.completed_n == done
 
 
 class TestPeriodicPoints:
@@ -268,5 +275,5 @@ class TestConjugacy:
     def test_rescaled_to_unit(self, stefan5):
         unit = stefan5.rescaled_to_unit()
         assert unit.domain == Interval(F(0), F(1))
-        assert unit.lap_count() == stefan5.lap_count()
+        assert unit.lap_growth(1) == stefan5.lap_growth(1) == [2]
         assert unit.lap_growth(6) == stefan5.lap_growth(6)
