@@ -157,6 +157,27 @@ def cmd_construct(args) -> int:
 # ---------------------------------------------------------------- analyze
 
 
+def _mixing_args(texts: List[str], p: int) -> tuple:
+    """WIDTH, GRID and CAP of --mixing, checked before any certificate runs."""
+    width_text, *count_texts = texts
+    try:
+        width = parse_slope_text(width_text, p)
+    except ValueError:
+        width = None
+    if width is None or not width > 0:
+        raise _UsageError(f"--mixing WIDTH must be a positive number, got {width_text}")
+    counts = []
+    for name, text in zip(("GRID", "CAP"), count_texts):
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise _UsageError(f"--mixing {name} must be an integer >= 1, got {text}")
+        counts.append(value)
+    return (width, *counts)
+
+
 def cmd_analyze(args) -> int:
     cap = _branch_cap(args)
     doc = load_document(args.path)
@@ -170,6 +191,8 @@ def cmd_analyze(args) -> int:
         raise _UsageError("--csv requires --entropy")
     if args.graph is not None and partition is None:
         raise _UsageError("--graph needs a document with interval markers (d = 0)")
+    if args.mixing is not None:
+        width, grid, mixing_cap = _mixing_args(args.mixing, params.p)
 
     if args.entropy is not None:
         est = estimate_entropy(m, args.entropy, target=params.target_entropy, branch_cap=cap)
@@ -193,9 +216,7 @@ def cmd_analyze(args) -> int:
             worst = max(worst, EXIT_BUDGET)
 
     if args.mixing is not None:
-        width_text, grid_text, cap_text = args.mixing
-        width = parse_slope_text(width_text, params.p)
-        mr = verify_mixing(m, width, int(grid_text), int(cap_text))
+        mr = verify_mixing(m, width, grid, mixing_cap)
         report["mixing"] = mr.as_dict()
         if not mr.all_covered:
             bad = next(

@@ -22,20 +22,23 @@ branch cap bounds that computed branch count, as it bounds the branches the
 pass builds. Floating mode counts laps in the branch pass, whose rounding its
 results depend on.
 
-In rational mode a branch is four plain ints, numerators over two common
-denominators: its ends over D*L^(n-1) and their f^n values over D*R^(n-1),
-where D is the lcm of the denominators of the breakpoints and values and L, R
-are the lcms of the slopes' numerators and denominators. A branch whose image
-holds no breakpoint (about three quarters of them) passes to f^(n+1) as one
-fragment, without a cut. Fixed points are the sign changes of f^q(x) - x
-between branch ends, kept as reduced (num, den) int pairs: least periods are
-looked up in the recorded Fix(f^j) of the proper divisors j of q, and a
-Fraction is built only for the returned list. Exact interval images use the
-same lattice: a rational end's piece is a bisection over the int breakpoint
-numerators, and its value one Fraction. Floating mode carries each branch's
-slope and offset in binary64 and reads least periods as return times within
-FLOAT_TOL. No itinerary is stored; an error that names one recomputes it from
-a point's orbit.
+In rational mode an iterate is one sequence of plain ints: f^n is continuous,
+so its N branches share N + 1 ends, kept as numerators over D*L^(n-1) beside
+their f^n values over D*R^(n-1), where D is the lcm of the denominators of the
+breakpoints and values and L, R are the lcms of the slopes' numerators and
+denominators. Refinement maps each end by f once. A branch whose image holds
+no breakpoint (about three quarters of them) passes to f^(n+1) as one
+fragment, without a cut. Fixed points are the sign changes of f^q(x) - x,
+taken once per end, kept as reduced (num, den) int pairs: least periods come
+from one dict over the recorded Fix(f^j) of the proper divisors j of q, and a
+Fraction is built only for the returned list. The lap counts' interval graph
+and exact interval images use the same lattice: the graph's node ends are
+ints over the single scale D*R^(n_max-1), and an image's rational end finds
+its piece by bisection over the int breakpoint numerators. Every division on
+the lattice is exact, and a remainder raises ArithmeticError. Floating mode
+carries each branch's slope and offset in binary64 and reads least periods as
+return times within FLOAT_TOL. No itinerary is stored; an error that names one
+recomputes it from a point's orbit.
 
 Maps are immutable and results are sorted and deterministic; the cursor and
 the record are caches that never change what a call returns.
@@ -327,36 +330,66 @@ class PLMap:
         """1 + the number of points of the open domain whose orbit meets cuts
         within n steps, for n = 1..n_max.
 
-        cuts is a sorted tuple of interior points holding every turning point,
-        so f maps each open piece between consecutive cuts one-to-one onto an
-        open interval. The nodes of the graph are open intervals, the root
-        being the open domain; a node's children are the images of its pieces
-        between the cuts inside it, and equal intervals share one node. With
-        C_0 = 0 and C_k(x) = |cuts in x| + sum of C_(k-1) over x's children,
-        C_k(x) counts the points of x whose orbit meets cuts within k steps.
+        cuts is a sorted tuple of interior breakpoints holding every turning
+        point, so f maps each open piece between consecutive cuts one-to-one
+        onto an open interval. The nodes of the graph are open intervals, the
+        root being the open domain; a node's children are the images of its
+        pieces between the cuts inside it, and equal intervals share one node.
+        With C_0 = 0 and C_k(x) = |cuts in x| + sum of C_(k-1) over x's
+        children, C_k(x) counts the points of x whose orbit meets cuts within
+        k steps.
         Every node end is an image of a cut or a domain end under at most
-        n_max - 1 steps, so there are at most ((len(cuts) + 2) * n_max)^2
-        nodes; the scalar work is done once per node, and the sums are ints.
+        M = n_max - 1 steps, so there are at most ((len(cuts) + 2) * n_max)^2
+        nodes. The ends are ints over the engine's single scale S = D*R^M, so
+        breakpoint k lies at B[k]*R^M; on piece k, whose slope is s/t in lowest
+        terms (t | R), f maps x to V[k]*R^M + s*(x - B[k]*R^M)/t. That division
+        is exact on the lattice, and a remainder (a scale too coarse for the
+        slopes) raises ArithmeticError. The node work is int hashing and
+        bisection, and the sums are ints.
         """
-        image = {c: self.eval(c) for c in cuts}
-        root = (self.breakpoints[0], self.breakpoints[-1])
+        e = self._engine
+        scale = e.R ** (n_max - 1)
+        S = e.D * scale
+        bs = [b * scale for b in e.B]
+        vs = [v * scale for v in e.V]
+        head = bs[:-1]  # so that the domain's right end lies in the last piece
+        steps = [(s.numerator, s.denominator) for s in self.slopes]
+        # cuts are breakpoints, so their denominators divide D
+        cuts = [c.numerator * (S // c.denominator) for c in cuts]
+        image: Dict[int, int] = {}
+
+        def f(x: int) -> int:
+            k = bisect_right(head, x) - 1
+            num, den = steps[k]
+            step, rem = divmod(num * (x - bs[k]), den)
+            if rem:
+                raise ArithmeticError(f"f({x}/{S}) is not a multiple of 1/{S}")
+            image[x] = y = vs[k] + step
+            return y
+
+        for c in cuts:
+            f(c)
+        root = (bs[0], bs[-1])
         nodes = [root]
         index = {root: 0}
         direct: List[int] = []
         kids: List[List[int]] = []
         found = []  # found[d]: the number of nodes at depth <= d
+        get = image.get
         for depth in range(n_max):
             start = found[-1] if found else 0
             found.append(len(nodes))
+            last = depth == n_max - 1  # C_1 needs no children
             for u, v in nodes[start:]:
                 i, j = bisect_right(cuts, u), bisect_left(cuts, v)
                 direct.append(j - i)
-                if depth == n_max - 1:
-                    continue  # C_1 needs no children
-                for end in (u, v):
-                    if end not in image:
-                        image[end] = self.eval(end)
-                ys = [image[u], *(image[c] for c in cuts[i:j]), image[v]]
+                if last:
+                    continue
+                ys = [get(u), *map(image.__getitem__, cuts[i:j]), get(v)]
+                if ys[0] is None:
+                    ys[0] = f(u)
+                if ys[-1] is None:
+                    ys[-1] = f(v)
                 children = []
                 for a, b in zip(ys, ys[1:]):
                     key = (a, b) if a < b else (b, a)
@@ -370,9 +403,10 @@ class PLMap:
         out = [1 + totals[0]]
         for k in range(2, n_max + 1):
             # C_k is needed on the nodes found by depth n_max - k
+            total = totals.__getitem__
             totals = [
-                direct[x] + sum(totals[c] for c in kids[x])
-                for x in range(found[n_max - k])
+                d + sum(map(total, ks))
+                for d, ks in zip(direct[: found[n_max - k]], kids)
             ]
             out.append(1 + totals[0])
         return out
@@ -468,19 +502,20 @@ class _IdentityBranch(NamedTuple):
 
 
 class _ExactIterate:
-    """The branches of f^n in rational mode, as parallel int lists.
+    """The branches of f^n in rational mode, as one end sequence of ints.
 
-    Branch k is [lo[k], hi[k]] / X and f^n maps its ends to flo[k] / Y and
-    fhi[k] / Y, where X = D*L^(n-1) and Y = D*R^(n-1) (see _ExactEngine).
+    f^n is continuous and its branches share ends, so N branches are N + 1
+    ends: branch k is [xs[k], xs[k+1]] / X, and f^n maps xs[k] / X to
+    ys[k] / Y, where X = D*L^(n-1) and Y = D*R^(n-1) (see _ExactEngine).
     """
 
-    __slots__ = ("n", "lo", "hi", "flo", "fhi")
+    __slots__ = ("n", "xs", "ys")
 
-    def __init__(self, n: int, lo: List[int], hi: List[int], flo: List[int], fhi: List[int]):
-        self.n, self.lo, self.hi, self.flo, self.fhi = n, lo, hi, flo, fhi
+    def __init__(self, n: int, xs: List[int], ys: List[int]):
+        self.n, self.xs, self.ys = n, xs, ys
 
     def __len__(self) -> int:
-        return len(self.lo)
+        return len(self.xs) - 1
 
 
 class _FloatIterate:
@@ -551,7 +586,9 @@ class _ExactEngine(_Engine):
     n-1 steps of f, so it is a multiple of 1/X with X = D*L^(n-1); its f^n
     value is an image of a breakpoint under at most n-1 steps, so a multiple
     of 1/Y with Y = D*R^(n-1). Every cut is therefore an exact integer
-    division, and refine checks that it is.
+    division, and refine checks that it is. The lap counts' interval graph
+    (PLMap._hits) takes only images, so its node ends share the one scale
+    D*R^(n_max-1), and exact interval images place rational ends over D.
     """
 
     def __init__(self, f: "PLMap"):
@@ -564,42 +601,32 @@ class _ExactEngine(_Engine):
         self.R = R = math.lcm(*(s.denominator for s in slopes))
         # f(y) = v_j + s_j (y - b_j), with s_j = A[j] / R
         self.A = [s.numerator * (R // s.denominator) for s in slopes]
-        self.fixed_sets: Dict[int, set] = {}  # n -> set(fixed[n - 1]), built once
 
     def first(self) -> _ExactIterate:
-        B, V = self.B, self.V
-        return _ExactIterate(1, B[:-1], B[1:], V[:-1], V[1:])
+        return _ExactIterate(1, list(self.B), list(self.V))
 
     def refine(self, it: _ExactIterate, cap: int) -> _ExactIterate:
-        """f^(n+1) from f^n: cut each branch where f^n crosses a breakpoint;
-        the bisect position names the piece of f each fragment lands in."""
+        """f^(n+1) from f^n: cut each branch where f^n crosses a breakpoint.
+        Each end's piece of f and image under f are found once, for both
+        branches it bounds; a branch whose ends share a piece is not cut."""
         L, R, A = self.L, self.R, self.A
         scale = R ** (it.n - 1)
         bs = [b * scale for b in self.B]  # breakpoints over Y_n
         vs = [v * scale * R for v in self.V]  # their values over Y_(n+1)
-        lo: List[int] = []
-        hi: List[int] = []
-        flo: List[int] = []
-        fhi: List[int] = []
-        for P, Q, U, W in zip(it.lo, it.hi, it.flo, it.fhi):
-            if U < W:
-                first, last = bisect_right(bs, U), bisect_left(bs, W)
-            else:
-                first, last = bisect_right(bs, W), bisect_left(bs, U)
-            if first == last:  # no breakpoint inside the image: one fragment
-                j = first - 1
-                lo.append(P * L)
-                hi.append(Q * L)
-                flo.append(vs[j] + A[j] * (U - bs[j]))
-                fhi.append(vs[j] + A[j] * (W - bs[j]))
-            else:
+        head = bs[:-1]  # so that the domain's right end lies in the last piece
+        xs, ys = it.xs, it.ys
+        pieces = [bisect_right(head, y) - 1 for y in ys]
+        # f^(n+1) at the ends of f^n, over Y_(n+1)
+        fys = [vs[j] + A[j] * (y - bs[j]) for y, j in zip(ys, pieces)]
+        x0 = xs[0] * L
+        new_xs, new_ys = [x0], [fys[0]]
+        for U, W, j, k, x1, fy in zip(ys, ys[1:], pieces, pieces[1:], xs[1:], fys[1:]):
+            x1 *= L
+            if j != k:  # cut at the breakpoints strictly inside the image
                 if U < W:
-                    j0, j1, cut_at = first - 1, last - 1, range(first, last)
+                    cut_at = range(j + 1, bisect_left(bs, W))
                 else:
-                    j0, j1, cut_at = last - 1, first - 1, range(last - 1, first - 1, -1)
-                x0, x1 = P * L, Q * L
-                xs = [x0]
-                ys = [vs[j0] + A[j0] * (U - bs[j0])]
+                    cut_at = range(bisect_left(bs, U) - 1, k, -1)
                 for i in cut_at:
                     step, rem = divmod((x1 - x0) * (bs[i] - U), W - U)
                     if rem:
@@ -607,59 +634,54 @@ class _ExactEngine(_Engine):
                             f"cut of f^{it.n} at breakpoint {i} is not a multiple "
                             f"of 1/{self.D * L ** it.n}"
                         )
-                    xs.append(x0 + step)
-                    ys.append(vs[i])
-                xs.append(x1)
-                ys.append(vs[j1] + A[j1] * (W - bs[j1]))
-                lo += xs[:-1]
-                hi += xs[1:]
-                flo += ys[:-1]
-                fhi += ys[1:]
-            if len(lo) > cap:
-                raise BranchBudgetError(cap, it.n)
-        return _ExactIterate(it.n + 1, lo, hi, flo, fhi)
+                    new_xs.append(x0 + step)
+                    new_ys.append(vs[i])
+                if len(new_xs) > cap:
+                    raise BranchBudgetError(cap, it.n)
+            new_xs.append(x1)
+            new_ys.append(fy)
+            x0 = x1
+        if len(new_xs) - 1 > cap:
+            raise BranchBudgetError(cap, it.n)
+        return _ExactIterate(it.n + 1, new_xs, new_ys)
 
     def fixed_points(self, it: _ExactIterate) -> List[Tuple[int, int]] | _IdentityBranch:
-        """Fix(f^n) in domain order: where f^n(x) - x changes sign on a branch.
-        Each point is a reduced pair (num, den) with den > 0, so equal points
-        are equal pairs. A branch on which f^n is the identity is returned as
-        an _IdentityBranch instead."""
+        """Fix(f^n) in domain order: where f^n(x) - x changes sign on a branch,
+        its sign taken once per end. Each point is a reduced pair (num, den)
+        with den > 0, so equal points are equal pairs. A branch on which f^n is
+        the identity is returned as an _IdentityBranch instead."""
         sx, sy = self.L ** (it.n - 1), self.R ** (it.n - 1)
         X = self.D * sx
+        xs = it.xs
+        # (f^n(x) - x) * D*sx*sy at each end
+        g = [y * sx - x * sy for x, y in zip(xs, it.ys)]
         out: List[Tuple[int, int]] = []
-        for P, Q, U, W in zip(it.lo, it.hi, it.flo, it.fhi):
-            g0 = U * sx - P * sy  # (f^n(x) - x) * D*sx*sy at the branch ends
-            g1 = W * sx - Q * sy
-            if g0 == 0:
-                if g1 == 0:
+        if g[0] == 0:
+            d = math.gcd(xs[0], X)
+            out.append((xs[0] // d, X // d))
+        for P, Q, g0, g1 in zip(xs, xs[1:], g, g[1:]):
+            if g1 == 0:
+                if g0 == 0:
                     return _IdentityBranch(Fraction(P, X), Fraction(Q, X))
-                num, den = P, X
-            elif g1 == 0:
                 num, den = Q, X
-            elif (g0 < 0) != (g1 < 0):
+            elif g0 == 0 or (g0 < 0) == (g1 < 0):
+                continue
+            else:
                 num, den = P * (g0 - g1) + (Q - P) * g0, X * (g0 - g1)
                 if den < 0:
                     num, den = -num, -den
-            else:
-                continue
-            g = math.gcd(num, den)
-            x = (num // g, den // g)
-            if not out or x != out[-1]:  # a shared branch end comes twice
-                out.append(x)
+            d = math.gcd(num, den)
+            out.append((num // d, den // d))
         return out
 
     def least_periods(self, points: List[Tuple[int, int]], q: int) -> List[int]:
         """Each point's least divisor j of q with the point in Fix(f^j). The
         pass has recorded every f^j with j <= q; none is an _IdentityBranch,
         since f^q is then the identity there too."""
-        proper = [(j, self._fixed_set(j)) for j in _divisors(q)[:-1]]
-        return [next((j for j, fix in proper if x in fix), q) for x in points]
-
-    def _fixed_set(self, j: int) -> set:
-        fix = self.fixed_sets.get(j)
-        if fix is None:
-            fix = self.fixed_sets[j] = set(self.fixed[j - 1])
-        return fix
+        least: Dict[Tuple[int, int], int] = {}
+        for j in reversed(_divisors(q)[:-1]):  # a smaller j overwrites
+            least.update(dict.fromkeys(self.fixed[j - 1], j))
+        return [least.get(x, q) for x in points]
 
 
 class _FloatEngine(_Engine):

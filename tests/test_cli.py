@@ -140,6 +140,24 @@ class TestAnalyze:
         report = json.loads(capsys.readouterr().out)
         assert report["mixing"]["all_covered"] is True
 
+    @pytest.mark.parametrize("mixing, message", [
+        (["abc", "64", "200"], "--mixing WIDTH must be a positive number, got abc"),
+        (["1/1024", "x", "200"], "--mixing GRID must be an integer >= 1, got x"),
+        (["1/1024", "64", "0"], "--mixing CAP must be an integer >= 1, got 0"),
+    ])
+    def test_bad_mixing_is_refused_first(self, tmp_path, capsys, monkeypatch, mixing, message):
+        """A bad --mixing value is a usage error before any certificate runs."""
+        path = construct(tmp_path, "--p", "3", "--lambda", "2")
+        capsys.readouterr()
+
+        def never(*args, **kwargs):
+            raise AssertionError("verify_type ran before --mixing was checked")
+
+        monkeypatch.setattr("intervalmaps.cli.verify_type", never)
+        code = main(["analyze", str(path), "--type", "13", "--mixing", *mixing])
+        assert code == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
     def test_refuted_claim_exits_two(self, tmp_path, capsys):
         path = construct(tmp_path, "--p", "5", "--lambda", "2")
         capsys.readouterr()
@@ -439,10 +457,11 @@ class TestMalformedDocument:
 
 
 class TestEngineEntryPoints:
-    """The public PLMap methods a type check and a floating sweep cell go
-    through: periodic points and the float pass advance only by
-    branches_of_iterate, mixing takes its images through PLMap.image, and an
-    exact type check never counts laps."""
+    """The public PLMap methods a type check, an exact entropy estimate and a
+    floating sweep cell go through: periodic points and the float pass advance
+    only by branches_of_iterate, mixing takes its images through PLMap.image,
+    an exact type check never counts laps, and exact lap counts build no
+    branch."""
 
     NAMES = ("branches_of_iterate", "periodic_points", "lap_growth", "image")
 
@@ -473,6 +492,13 @@ class TestEngineEntryPoints:
         assert calls["periodic_points"] > 0
         assert calls["image"] > 0
         assert calls["lap_growth"] == 0
+
+    def test_exact_entropy(self, tmp_path, capsys, calls):
+        """Exact lap counts come from the interval graph alone."""
+        path = construct(tmp_path, "--p", "5", "--lambda", "2")
+        assert main(["analyze", str(path), "--entropy", "12"]) == 0
+        assert calls["lap_growth"] > 0
+        assert calls["branches_of_iterate"] == calls["periodic_points"] == calls["image"] == 0
 
     def test_float_sweep_cell(self, tmp_path, capsys, calls):
         argv = ["sweep", "--p", "3", "--d", "0", "--lambda", "1.9", "--entropy-n", "6",

@@ -189,7 +189,7 @@ def test_inexact_cut_is_caught(f52):
 
 def branch_laps(branches):
     """Direction runs of an iterate's branches (the branch engine's laps)."""
-    rising = [u < w for u, w in zip(branches.flo, branches.fhi)]
+    rising = [u < w for u, w in zip(branches.ys, branches.ys[1:])]
     return 1 + sum(a != b for a, b in zip(rising, rising[1:]))
 
 
@@ -252,6 +252,83 @@ def test_deep_lap_growth(maps):
     laps = m.lap_growth(60, branch_cap=10**30)
     assert time.perf_counter() - start < 0.1
     assert laps[:14] == [branch_laps(m.branches_of_iterate(n)) for n in range(1, 15)]
+
+
+def ref_hits(m, cuts, n_max):
+    """The interval graph of PLMap._hits in plain Fractions: 1 + the number of
+    points of the open domain whose orbit meets cuts within n steps, for
+    n = 1..n_max. A node is an open interval (u, v), its children are the
+    images of its pieces between the cuts inside it, and equal intervals share
+    a node; C_k(x) = |cuts in x| + the sum of C_(k-1) over x's children."""
+    root = (m.breakpoints[0], m.breakpoints[-1])
+    nodes, index = [root], {root: 0}
+    direct, kids, found = [], [], []
+    for depth in range(n_max):
+        start = found[-1] if found else 0
+        found.append(len(nodes))
+        for u, v in nodes[start:]:
+            inside = [c for c in cuts if u < c < v]
+            direct.append(len(inside))
+            if depth == n_max - 1:
+                continue
+            ys = [ref_eval(m, x) for x in (u, *inside, v)]
+            children = []
+            for a, b in zip(ys, ys[1:]):
+                key = (min(a, b), max(a, b))
+                if key not in index:
+                    index[key] = len(nodes)
+                    nodes.append(key)
+                children.append(index[key])
+            kids.append(children)
+    totals, out = direct, [1 + direct[0]]
+    for k in range(2, n_max + 1):
+        totals = [direct[x] + sum(totals[c] for c in kids[x])
+                  for x in range(found[n_max - k])]
+        out.append(1 + totals[0])
+    return out
+
+
+def cut_sets(m):
+    """All interior breakpoints, and the turning points alone."""
+    inner = m.breakpoints[1:-1]
+    rising = [s > 0 for s in m.slopes]
+    return inner, tuple(b for b, u, w in zip(inner, rising, rising[1:]) if u != w)
+
+
+@ENGINES_AGREE
+@given(exact_maps(), st.integers(1, 12))
+def test_lattice_graph_matches_fraction_graph(m, n):
+    """_hits on the integer lattice against the Fraction graph, for both cut
+    sets, on maps whose slopes have denominators (so R > 1)."""
+    for cuts in cut_sets(m):
+        assert m._hits(cuts, n) == ref_hits(m, cuts, n)
+
+
+@pytest.fixture(scope="module")
+def deep_maps(maps):
+    return {
+        "f5_17/10": maps["f5_17/10"],
+        "f7_19/10": odd_type_map(7, F(19, 10)).map,
+        "f3_5/2": odd_type_map(3, F(5, 2)).map,
+        "f52": maps["f52"],
+        "sqrt_sqrt52": maps["sqrt_sqrt52"],
+    }
+
+
+@pytest.mark.parametrize("name", ["f5_17/10", "f7_19/10", "f3_5/2", "f52", "sqrt_sqrt52"])
+@pytest.mark.parametrize("n", [20, 40, 60])
+def test_deep_lattice_graph_matches_fraction_graph(deep_maps, name, n):
+    m = fresh(deep_maps[name])
+    inner, turning = cut_sets(m)
+    assert m._hits(inner, n) == ref_hits(m, inner, n)
+    assert m.lap_growth(n, branch_cap=10**30) == ref_hits(m, turning, n)
+
+
+def test_off_lattice_node_end_is_caught(maps):
+    m = fresh(maps["f5_17/10"])
+    m._engine.R = 1  # wrong common denominator: the slopes are +-17/10
+    with pytest.raises(ArithmeticError, match="not a multiple"):
+        m.lap_growth(8)
 
 
 # Recorded from the per-q float engine this one replaced; floats must not move.
