@@ -110,10 +110,9 @@ def verify_type(
         if f.return_time(x, q) != q:
             raise RuntimeError(f"internal: witness {x!r} does not have least period {q}")
 
-    horizon = checked if truncated else q_max
     expected = expected_period_set(claimed, q_max)
-    expected_seen = {m for m in expected if m <= horizon}
-    absent = tuple(q for q in range(1, horizon + 1) if q not in present)
+    expected_seen = {m for m in expected if m <= checked}
+    absent = tuple(q for q in range(1, checked + 1) if q not in present)
 
     unexpected = sorted(set(present) - expected)
     missing = sorted(expected_seen - set(present))
@@ -155,7 +154,7 @@ def verify_type(
         absent=absent,
         expected=tuple(sorted(expected)),
         verdict=verdict,
-        checked_up_to=horizon,
+        checked_up_to=checked,
         refutation=refutation,
         census=census,
         boundary_periods=boundary_periods,

@@ -22,7 +22,7 @@ from .analysis import (
     verify_type,
 )
 from .construct import ConstructionParams, parse_slope_text
-from .covering import build_covering_graph
+from .covering import EDGE_FULL, EDGE_PARTIAL, build_covering_graph
 from .document import document_for, load_document, save_document, write_text_atomic
 from .kernel import minimal_slope, scalar_to_str
 from .plmap import (
@@ -55,10 +55,51 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _branch_cap(args) -> int:
-    if args.branch_cap < 1:
-        raise _UsageError(f"--branch-cap must be a positive integer, got {args.branch_cap}")
-    return args.branch_cap
+def _at_least(flag: str, least: int, what: str = ""):
+    """argparse type of an int flag whose value below least is a usage error.
+    argparse turns only ValueError and TypeError into its own "invalid int
+    value" message, so _UsageError goes through parse_args to main."""
+    def check(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise _UsageError(f"{flag} must be {what or f'>= {least}'}, got {value}")
+        return value
+
+    check.__name__ = "int"
+    return check
+
+
+def _width(flag: str, text: str) -> str:
+    """A mixing seed width text, checked to parse as a slope > 0. lambda_p is
+    positive for every p, so p = 3 checks it; analyze and each sweep cell
+    parse the text again for their own p."""
+    try:
+        ok = parse_slope_text(text, 3) > 0
+    except ValueError:
+        ok = False
+    if not ok:
+        raise _UsageError(f"{flag} must be a positive number, got {text}")
+    return text
+
+
+def _comma_list(flag: str, item, what: str):
+    """argparse type of a comma list, empty items skipped, item parsing each."""
+    def parse(text: str) -> list:
+        try:
+            return [item(x) for x in text.split(",") if x.strip()]
+        except ValueError:
+            raise _UsageError(f"{flag} must be a comma list of {what}, got {text}") from None
+
+    return parse
+
+
+def _target_entropy(text: str) -> Tuple[str, float]:
+    h = float(text)
+    if not h > 0:
+        raise _UsageError("target entropies must be positive")
+    if not math.isfinite(h):
+        raise _UsageError(f"target entropy {text.strip()} is not finite")
+    return text.strip(), h
 
 
 @functools.cache
@@ -70,6 +111,7 @@ def _build_parser() -> _Parser:
         "prescribed type and entropy.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    branch_cap = _at_least("--branch-cap", 1, "a positive integer")
 
     c = sub.add_parser("construct", help="build a map and write its document")
     c.add_argument("--p", type=int, required=True, help="odd base period (>= 3)")
@@ -90,8 +132,8 @@ def _build_parser() -> _Parser:
 
     a = sub.add_parser("analyze", help="run certifications on a document")
     a.add_argument("path", help="map document to analyze")
-    a.add_argument("--entropy", type=int, default=None, metavar="N_MAX")
-    a.add_argument("--type", dest="type_q", type=int, default=None, metavar="Q_MAX")
+    a.add_argument("--entropy", type=_at_least("--entropy", 3), metavar="N_MAX")
+    a.add_argument("--type", dest="type_q", type=_at_least("--type", 1), metavar="Q_MAX")
     a.add_argument(
         "--mixing",
         nargs=3,
@@ -101,11 +143,12 @@ def _build_parser() -> _Parser:
     )
     a.add_argument("--graph", default=None, metavar="DOT_PATH")
     a.add_argument("--csv", dest="csv_path", default=None, metavar="CSV_PATH")
-    a.add_argument("--branch-cap", type=int, default=DEFAULT_BRANCH_CAP)
+    a.add_argument("--branch-cap", type=branch_cap, default=DEFAULT_BRANCH_CAP)
 
     s = sub.add_parser("sweep", help="construct and certify a parameter grid")
-    s.add_argument("--p", default="3", help="comma list of odd periods")
-    s.add_argument("--d", default="0", help="comma list of doubling counts")
+    ints = functools.partial(_comma_list, item=int, what="integers")
+    s.add_argument("--p", type=ints("--p"), default="3", help="comma list of odd periods")
+    s.add_argument("--d", type=ints("--d"), default="0", help="comma list of doubling counts")
     s.add_argument(
         "--lambda",
         dest="slope_list",
@@ -114,18 +157,21 @@ def _build_parser() -> _Parser:
     )
     s.add_argument(
         "--target-entropy",
+        type=_comma_list("--target-entropy", _target_entropy, "positive numbers"),
         default=None,
         help="comma list of entropies; overrides the grid, solving p=3, "
         "d, lambda = exp(2^d h) per value",
     )
     s.add_argument("--out-dir", required=True)
-    s.add_argument("--entropy-n", type=int, default=12)
-    s.add_argument("--type-q", type=int, default=DEFAULT_Q_MAX)
-    s.add_argument("--mixing-width", default="1/1024")
-    s.add_argument("--mixing-grid", type=int, default=16)
-    s.add_argument("--mixing-cap", type=int, default=200)
-    s.add_argument("--workers", type=int, default=1)
-    s.add_argument("--branch-cap", type=int, default=DEFAULT_BRANCH_CAP)
+    s.add_argument("--entropy-n", type=_at_least("--entropy-n", 3), default=12)
+    s.add_argument("--type-q", type=_at_least("--type-q", 1), default=DEFAULT_Q_MAX)
+    s.add_argument(
+        "--mixing-width", type=functools.partial(_width, "--mixing-width"), default="1/1024"
+    )
+    s.add_argument("--mixing-grid", type=_at_least("--mixing-grid", 1), default=16)
+    s.add_argument("--mixing-cap", type=_at_least("--mixing-cap", 1), default=200)
+    s.add_argument("--workers", type=_at_least("--workers", 1), default=1)
+    s.add_argument("--branch-cap", type=branch_cap, default=DEFAULT_BRANCH_CAP)
 
     p = sub.add_parser("plot", help="render a document as SVG")
     p.add_argument("path", help="map document to plot")
@@ -160,12 +206,7 @@ def cmd_construct(args) -> int:
 def _mixing_args(texts: List[str], p: int) -> tuple:
     """WIDTH, GRID and CAP of --mixing, checked before any certificate runs."""
     width_text, *count_texts = texts
-    try:
-        width = parse_slope_text(width_text, p)
-    except ValueError:
-        width = None
-    if width is None or not width > 0:
-        raise _UsageError(f"--mixing WIDTH must be a positive number, got {width_text}")
+    _width("--mixing WIDTH", width_text)
     counts = []
     for name, text in zip(("GRID", "CAP"), count_texts):
         try:
@@ -175,11 +216,11 @@ def _mixing_args(texts: List[str], p: int) -> tuple:
         if value < 1:
             raise _UsageError(f"--mixing {name} must be an integer >= 1, got {text}")
         counts.append(value)
-    return (width, *counts)
+    return (parse_slope_text(width_text, p), *counts)
 
 
 def cmd_analyze(args) -> int:
-    cap = _branch_cap(args)
+    cap = args.branch_cap
     doc = load_document(args.path)
     params = doc.params
     m = doc.map
@@ -235,8 +276,8 @@ def cmd_analyze(args) -> int:
         report["graph"] = {
             "dot_path": args.graph,
             "vertices": len(graph.vertices),
-            "full_edges": sum(1 for e in graph.edges if e[2] == "full"),
-            "partial_edges": sum(1 for e in graph.edges if e[2] == "partial"),
+            "full_edges": sum(1 for e in graph.edges if e[2] == EDGE_FULL),
+            "partial_edges": sum(1 for e in graph.edges if e[2] == EDGE_PARTIAL),
         }
 
     json.dump(report, sys.stdout, sort_keys=True, indent=2)
@@ -252,12 +293,7 @@ def _sweep_cells(args) -> List[Tuple[int, int, str]]:
     cells = []
     if args.target_entropy:
         min3 = math.log(minimal_slope(3))
-        for part in args.target_entropy.split(","):
-            h = float(part)
-            if not h > 0:
-                raise _UsageError("target entropies must be positive")
-            if not math.isfinite(h):
-                raise _UsageError(f"target entropy {part.strip()} is not finite")
+        for text, h in args.target_entropy:
             d = 0
             while min3 / (2 ** d) > h:
                 d += 1
@@ -265,43 +301,41 @@ def _sweep_cells(args) -> List[Tuple[int, int, str]]:
                 slope = math.exp((2 ** d) * h)
             except OverflowError:
                 raise _UsageError(
-                    f"target entropy {part.strip()} is too large: "
+                    f"target entropy {text} is too large: "
                     f"exp(2^{d} * h) overflows"
                 ) from None
             cells.append((3, d, repr(slope)))
         return cells
-    ps = [int(x) for x in args.p.split(",") if x.strip()]
-    ds = [int(x) for x in args.d.split(",") if x.strip()]
     slopes = [x.strip() for x in args.slope_list.split(",") if x.strip()]
-    if not ps or not ds or not slopes:
+    if not args.p or not args.d or not slopes:
         raise _UsageError("empty sweep grid")
-    for p in sorted(set(ps)):
-        for d in sorted(set(ds)):
+    for p in sorted(set(args.p)):
+        for d in sorted(set(args.d)):
             for slope in slopes:
                 cells.append((p, d, slope))
     return cells
 
 
-def _run_cell(job) -> Tuple[int, int, str, dict]:
-    (p, d, slope_text, out_dir, entropy_n, type_q,
-     mixing_width, mixing_grid, mixing_cap, cap) = job
+def _run_cell(cell: Tuple[int, int, str], args) -> Tuple[int, int, str, dict]:
+    p, d, slope_text = cell
+    cap = args.branch_cap
     row: dict = {}
     try:
         params = ConstructionParams(p, d, parse_slope_text(slope_text, p))
         doc = document_for(params)
         slug = scalar_to_str(params.slope).replace("/", "_")
-        path = os.path.join(out_dir, f"map_p{p}_d{d}_lam{slug}.json")
+        path = os.path.join(args.out_dir, f"map_p{p}_d{d}_lam{slug}.json")
         save_document(doc, path)
         m = doc.map
-        est = estimate_entropy(m, entropy_n, target=params.target_entropy, branch_cap=cap)
+        est = estimate_entropy(m, args.entropy_n, target=params.target_entropy, branch_cap=cap)
         partition = doc.markers.partition() if doc.markers else None
-        tr = verify_type(m, params.type_value, type_q, partition=partition, branch_cap=cap)
+        tr = verify_type(m, params.type_value, args.type_q, partition=partition, branch_cap=cap)
         row["h_target"] = f"{params.target_entropy:.6f}"
         row["h_estimate"] = f"{est.h:.6f}"
         row["type_verdict"] = tr.verdict
         if d == 0:
-            width = parse_slope_text(mixing_width, p)
-            mr = verify_mixing(m, width, mixing_grid, mixing_cap)
+            width = parse_slope_text(args.mixing_width, p)
+            mr = verify_mixing(m, width, args.mixing_grid, args.mixing_cap)
             row["mixing_max_n"] = "" if mr.max_n is None else str(mr.max_n)
             if not mr.all_covered:
                 row["type_verdict"] = tr.verdict + ";mixing-failed"
@@ -316,34 +350,14 @@ def _run_cell(job) -> Tuple[int, int, str, dict]:
 
 
 def cmd_sweep(args) -> int:
-    cap = _branch_cap(args)
-    for flag, value, least in (
-        ("--entropy-n", args.entropy_n, 3),
-        ("--type-q", args.type_q, 1),
-        ("--mixing-grid", args.mixing_grid, 1),
-        ("--mixing-cap", args.mixing_cap, 1),
-        ("--workers", args.workers, 1),
-    ):
-        if value < least:
-            raise _UsageError(f"{flag} must be >= {least}, got {value}")
-    try:  # each d = 0 cell parses it again, as lambda_p depends on p
-        width_ok = parse_slope_text(args.mixing_width, 3) > 0
-    except ValueError:
-        width_ok = False
-    if not width_ok:
-        raise _UsageError(f"--mixing-width must be a positive number, got {args.mixing_width}")
     cells = _sweep_cells(args)
     os.makedirs(args.out_dir, exist_ok=True)
-    jobs = [
-        (p, d, slope, args.out_dir, args.entropy_n, args.type_q,
-         args.mixing_width, args.mixing_grid, args.mixing_cap, cap)
-        for (p, d, slope) in cells
-    ]
+    run_cell = functools.partial(_run_cell, args=args)
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_run_cell, jobs))
+            results = list(pool.map(run_cell, cells))
     else:
-        results = [_run_cell(job) for job in jobs]
+        results = [run_cell(cell) for cell in cells]
     results.sort(key=lambda r: (r[0], r[1], r[2]))
 
     summary_path = os.path.join(args.out_dir, "summary.csv")

@@ -85,6 +85,13 @@ class BranchBudgetError(RuntimeError):
         self.completed_n = completed_n
 
 
+def _check_budget(counts: List[int], cap: int) -> None:
+    """counts[n - 1] is the branch count of f^n; the first over cap raises."""
+    for n, count in enumerate(counts, 1):
+        if count > cap:
+            raise BranchBudgetError(cap, n - 1)
+
+
 class FixedPointContinuumError(RuntimeError):
     """An iterate restricts to the identity on a whole subinterval, so its
     fixed points are not isolated."""
@@ -295,7 +302,7 @@ class PLMap:
         if not 1 <= n <= len(engine.counts):
             self.branches_of_iterate(n, branch_cap)  # raises ValueError for n < 1
         else:
-            engine.check_budget(n, branch_cap)
+            _check_budget(engine.counts[:n], branch_cap)
         return engine
 
     def lap_growth(
@@ -321,9 +328,7 @@ class PLMap:
         turning = tuple(b for b, u, w in zip(inner, rising, rising[1:]) if u != w)
         counts = self._hits(inner, n_max)
         laps = counts if turning == inner else self._hits(turning, n_max)
-        for n, count in enumerate(counts, 1):
-            if count > branch_cap:
-                raise BranchBudgetError(branch_cap, n - 1)
+        _check_budget(counts, branch_cap)
         return laps
 
     def _hits(self, cuts: Tuple[Scalar, ...], n_max: int) -> List[int]:
@@ -548,15 +553,10 @@ class _Engine:
         self.fixed: list = []
         self.last = None
 
-    def check_budget(self, q: int, cap: int) -> None:
-        for n, count in enumerate(self.counts[:q], 1):
-            if count > cap:
-                raise BranchBudgetError(cap, n - 1)
-
     def advance(self, q: int, cap: int):
         """f^q, built from the cursor (or from f^1 when q is behind it). The
         first n <= q whose branch count exceeds cap raises BranchBudgetError."""
-        self.check_budget(q, cap)
+        _check_budget(self.counts[:q], cap)
         it = self.last
         if it is None or it.n > q:
             it = self.first()

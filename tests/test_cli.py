@@ -158,6 +158,28 @@ class TestAnalyze:
         assert code == 1
         assert capsys.readouterr().err == f"usage error: {message}\n"
 
+    @pytest.mark.parametrize("flag, message", [
+        (["--entropy", "2"], "usage error: --entropy must be >= 3, got 2\n"),
+        (["--type", "0"], "usage error: --type must be >= 1, got 0\n"),
+        (["--branch-cap", "0"], "usage error: --branch-cap must be a positive integer, got 0\n"),
+        (["--type", "x"], "usage error: argument --type: invalid int value: 'x'\n"),
+    ])
+    def test_bad_depth_is_refused_first(self, tmp_path, capsys, monkeypatch, flag, message):
+        """--entropy, --type and --branch-cap are checked as the command line
+        is parsed, before the document loads; a non-integer keeps argparse's
+        message."""
+        path = construct(tmp_path, "--p", "5", "--lambda", "2")
+        capsys.readouterr()
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran before the flags were checked")
+
+        for name in ("load_document", "estimate_entropy", "verify_type"):
+            monkeypatch.setattr(f"intervalmaps.cli.{name}", never)
+        code = main(["analyze", str(path), "--entropy", "12", "--type", "13", *flag])
+        assert code == 1
+        assert capsys.readouterr().err == message
+
     def test_refuted_claim_exits_two(self, tmp_path, capsys):
         path = construct(tmp_path, "--p", "5", "--lambda", "2")
         capsys.readouterr()
@@ -263,10 +285,16 @@ class TestSweep:
         ("--mixing-width", "0", "--mixing-width must be a positive number, got 0"),
         ("--mixing-width", "-1/2", "--mixing-width must be a positive number, got -1/2"),
         ("--mixing-width", "abc", "--mixing-width must be a positive number, got abc"),
+        ("--p", "3,x", "--p must be a comma list of integers, got 3,x"),
+        ("--d", "0,1.5", "--d must be a comma list of integers, got 0,1.5"),
+        ("--target-entropy", "0.5,abc",
+         "--target-entropy must be a comma list of positive numbers, got 0.5,abc"),
+        ("--target-entropy", "0.5,-1", "target entropies must be positive"),
     ])
     def test_grid_wide_argument_usage_error(self, tmp_path, capsys, flag, value, message):
-        """A bad argument shared by every cell is refused before the output
-        directory is made, not written as an error row per cell."""
+        """A bad grid or grid-wide argument is refused, naming its flag,
+        before the output directory is made, not written as an error row per
+        cell."""
         out_dir = tmp_path / "cells"
         code = main(["sweep", "--p", "3", "--lambda", "2", f"{flag}={value}",
                      "--out-dir", str(out_dir)])
