@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .covering import build_covering_graph, primitive_cycle_census
@@ -311,24 +312,32 @@ def mixing_trace(
     return None, images
 
 
-def _first_cover(
-    f: PLMap, seed: Interval, cap: int, known: Dict[Interval, float]
-) -> Optional[int]:
+def _key(a: Interval) -> Tuple[int, int, int, int]:
+    """An interval with rational ends as the engine's image key."""
+    return (a.lo.numerator, a.lo.denominator, a.hi.numerator, a.hi.denominator)
+
+
+def _first_cover(f: PLMap, seed: Interval, cap: int, known: dict) -> Optional[int]:
     """mixing_trace's first cover time, cut short by known, a table of image
     -> first cover time (math.inf: never). An image met at step n with time
     r gives n + r, None past cap. A new image enters known as inf, so a
     repeat within the trace, a cycle that never covers, gives None too; it
-    gets its true time when the trace ends, or leaves known at the cap."""
+    gets its true time when the trace ends, or leaves known at the cap.
+    An exact trace iterates the engine's image step on int keys; a floating
+    one takes PLMap.image on Intervals."""
     dom = f.domain
     exact = f.is_exact and is_exact(seed.lo) and is_exact(seed.hi)
     if _covers_domain(seed, dom, exact):
         return 0
-    images: List[Interval] = []
-    cur = seed
+    if exact:
+        image, cur, covers = f._engine.image, _key(seed), _key(dom).__eq__
+    else:
+        image, cur, covers = f.image, seed, partial(_covers_domain, dom=dom, exact=False)
+    images: list = []
     for n in range(1, cap + 1):
-        cur = f.image(cur)
+        cur = image(cur)
         r = known.get(cur)
-        if r is None and _covers_domain(cur, dom, exact):
+        if r is None and covers(cur):
             r = 0
         if r is not None:  # cur first covers r steps after step n
             for k, img in enumerate(images, 1):
@@ -365,9 +374,10 @@ def verify_mixing(
     seeds: List[Interval] = []
     firsts: List[Optional[int]] = []
     # image -> first cover time. Every trace of one call applies the same
-    # cover test: with a float width, only a seed clipped to the whole domain
-    # has exact ends, and it covers at once without images.
-    known: Dict[Interval, float] = {}
+    # cover test and keys images alike: with a float width, only a seed
+    # clipped to the whole domain has exact ends, and it covers at once
+    # without images.
+    known: dict = {}
     for i in range(grid):
         frac = Fraction(2 * i + 1, 2 * grid) if exact else (2 * i + 1) / (2 * grid)
         center = dom.lo + span * frac

@@ -289,8 +289,12 @@ def cmd_analyze(args) -> int:
 
 
 def _sweep_cells(args) -> List[Tuple[int, int, str]]:
-    """(p, d, slope text) cells in deterministic order."""
-    cells = []
+    """(p, d, slope text) cells in deterministic order, each map once: a cell
+    whose p, d and parsed slope repeat an earlier cell's is dropped, and the
+    first text kept. The slope's type is part of it, since an exact and a
+    floating slope build different maps. A text that does not parse stays,
+    so its row records the error."""
+    grid = []
     if args.target_entropy:
         min3 = math.log(minimal_slope(3))
         for text, h in args.target_entropy:
@@ -304,15 +308,27 @@ def _sweep_cells(args) -> List[Tuple[int, int, str]]:
                     f"target entropy {text} is too large: "
                     f"exp(2^{d} * h) overflows"
                 ) from None
-            cells.append((3, d, repr(slope)))
-        return cells
-    slopes = [x.strip() for x in args.slope_list.split(",") if x.strip()]
-    if not args.p or not args.d or not slopes:
-        raise _UsageError("empty sweep grid")
-    for p in sorted(set(args.p)):
-        for d in sorted(set(args.d)):
-            for slope in slopes:
-                cells.append((p, d, slope))
+            grid.append((3, d, repr(slope)))
+    else:
+        slopes = [x.strip() for x in args.slope_list.split(",") if x.strip()]
+        if not args.p or not args.d or not slopes:
+            raise _UsageError("empty sweep grid")
+        for p in sorted(set(args.p)):
+            for d in sorted(set(args.d)):
+                for slope in slopes:
+                    grid.append((p, d, slope))
+    seen = set()
+    cells = []
+    for p, d, text in grid:
+        try:
+            slope = parse_slope_text(text, p)
+        except ValueError:
+            cells.append((p, d, text))
+            continue
+        key = (p, d, type(slope), slope)
+        if key not in seen:
+            seen.add(key)
+            cells.append((p, d, text))
     return cells
 
 

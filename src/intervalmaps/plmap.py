@@ -1,12 +1,11 @@
 """Continuous piecewise-linear self-maps of a compact interval.
 
 Evaluation and interval images are exact over rationals. Periodic points of f^q
-come from its affine branches: the intervals on which f^q is affine, found by
-cutting each branch of f^(q-1) where it crosses a breakpoint of f. One pass per
-map builds each iterate once and records, for every f^n it builds, the branch
-count and Fix(f^n) (in floating mode also the lap count). A one-slot cursor
-keeps the last iterate, so the pass goes on from it: periodic_points(q) and
-floating lap_growth(n) build only the iterates past the record, through
+come from its affine branches: the intervals on which f^q is affine. One pass
+per map builds each iterate once and records, for every f^n it builds, the
+branch count and Fix(f^n) (in floating mode also the lap count). A one-slot
+cursor keeps the last iterate, so the pass goes on from it: periodic_points(q)
+and floating lap_growth(n) build only the iterates past the record, through
 branches_of_iterate, and a request behind it is a lookup that checks the cap
 against the recorded counts. Only an explicit branches_of_iterate(q) behind
 the cursor restarts from f^1. Under any call order, the first f^n over the
@@ -26,19 +25,23 @@ In rational mode an iterate is one sequence of plain ints: f^n is continuous,
 so its N branches share N + 1 ends, kept as numerators over D*L^(n-1) beside
 their f^n values over D*R^(n-1), where D is the lcm of the denominators of the
 breakpoints and values and L, R are the lcms of the slopes' numerators and
-denominators. Refinement maps each end by f once. A branch whose image holds
-no breakpoint (about three quarters of them) passes to f^(n+1) as one
-fragment, without a cut. Fixed points are the sign changes of f^q(x) - x,
-taken once per end, kept as reduced (num, den) int pairs: least periods come
-from one dict over the recorded Fix(f^j) of the proper divisors j of q, and a
-Fraction is built only for the returned list. The lap counts' interval graph
-and exact interval images use the same lattice: the graph's node ends are
-ints over the single scale D*R^(n_max-1), and an image's rational end finds
-its piece by bisection over the int breakpoint numerators. Every division on
-the lattice is exact, and a remainder raises ArithmeticError. Floating mode
-carries each branch's slope and offset in binary64 and reads least periods as
-return times within FLOAT_TOL. No itinerary is stored; an error that names one
-recomputes it from a point's orbit.
+denominators. Refinement builds f^(n+1) as f^n o f, by pullback: on each piece
+of f, the ends of f^(n+1) are the piece's left breakpoint and the preimages of
+the ends of f^n inside the piece's image, a slice found by two bisections and
+mapped by one multiply-add per end, and f^(n+1) takes f^n's values there.
+Fixed points are the sign changes of f^q(x) - x, taken once per end, kept as
+reduced (num, den) int pairs: least periods come from one dict over the
+recorded Fix(f^j) of the proper divisors j of q, and a Fraction is built only
+for the returned list. The lap counts' interval graph uses the same lattice:
+its node ends are ints over the single scale D*R^(n_max-1). Points and
+interval images off that scale are reduced int pairs, which find their piece
+by bisection over the int breakpoint numerators: exact mixing traces and
+return times step on them directly, and image wraps the same step. Every
+division on the lattice is exact, and a remainder raises ArithmeticError.
+Floating mode carries each branch's slope and offset in binary64, cuts it
+where its image crosses a breakpoint, and reads least periods as return times
+within FLOAT_TOL. No itinerary is stored; an error that names one recomputes
+it from a point's orbit.
 
 Maps are immutable and results are sorted and deterministic; the cursor and
 the record are caches that never change what a call returns.
@@ -238,29 +241,16 @@ class PLMap:
         """Exact set-image of a closed subinterval: extrema over the endpoint
         values and the values at breakpoints interior to a.
 
-        On an exact map, rational ends inside the domain are placed on the
-        engine's integer lattice: x = num/den lies at num*D/den over 1/D, so
-        its piece is a bisection over the ints B and its value one Fraction.
+        On an exact map, rational ends are reduced int pairs for the engine's
+        image step (_ExactEngine.image), which mixing traces iterate directly.
         """
-        if self.is_exact and type(a.lo) is Fraction and type(a.hi) is Fraction:
-            e = self._engine
-            D, B, V, A, R = e.D, e.B, e.V, e.A, e.R
-            ends = []
-            for x in (a.lo, a.hi):
-                den = x.denominator
-                at = x.numerator * D
-                if not B[0] * den <= at <= B[-1] * den:
-                    break  # outside the domain: _clamp below raises
-                k = bisect_right(B, at // den) - 1
-                off = at - B[k] * den  # 0 on the breakpoint B[k]
-                y = Fraction(V[k] * R * den + A[k] * off, D * R * den) if off else self.values[k]
-                ends.append((k, off, y))
-            else:
-                (k0, _, y0), (k1, off, y1) = ends
-                vals = [y0, y1, *self.values[k0 + 1 : k1 + 1 if off else k1]]
-                return Interval(min(vals), max(vals))
         lo = self._clamp(a.lo)
         hi = self._clamp(a.hi)
+        if self.is_exact and type(lo) is Fraction and type(hi) is Fraction:
+            n0, d0, n1, d1 = self._engine.image(
+                (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+            )
+            return Interval(Fraction(n0, d0), Fraction(n1, d1))
         vals = [self.eval(lo), self.eval(hi)]
         start = bisect_right(self.breakpoints, lo)
         end = bisect_left(self.breakpoints, hi)
@@ -466,8 +456,18 @@ class PLMap:
         """The least j <= n with f^j(x) = x (within the map's tol), or None.
 
         Each step is eval inlined with the same expressions, clamping only a
-        point outside the domain."""
+        point outside the domain. A rational point of an exact map walks the
+        engine's point step on reduced int pairs instead."""
         x = as_scalar(x)
+        if type(x) is Fraction and self.is_exact:
+            x = self._clamp(x)  # a point outside the domain raises
+            start = y = (x.numerator, x.denominator)
+            point = self._engine.point
+            for j in range(1, n + 1):
+                y = point(*y)
+                if y == start:
+                    return j
+            return None
         tol = self.tol
         bps, vals, slopes = self.breakpoints, self.values, self.slopes
         lo, hi, last = bps[0], bps[-1], len(bps) - 1
@@ -585,10 +585,13 @@ class _ExactEngine(_Engine):
     endpoint of a branch of f^n is a preimage of a breakpoint under at most
     n-1 steps of f, so it is a multiple of 1/X with X = D*L^(n-1); its f^n
     value is an image of a breakpoint under at most n-1 steps, so a multiple
-    of 1/Y with Y = D*R^(n-1). Every cut is therefore an exact integer
-    division, and refine checks that it is. The lap counts' interval graph
-    (PLMap._hits) takes only images, so its node ends share the one scale
-    D*R^(n_max-1), and exact interval images place rational ends over D.
+    of 1/Y with Y = D*R^(n-1). A preimage under piece j multiplies by
+    c_j = R*L/A_j, an integer because |the numerator of s_j| divides L, and
+    refine checks that it is. The lap counts' interval graph (PLMap._hits)
+    takes only images, so its node ends share the one scale D*R^(n_max-1).
+    Points and interval images off that scale (mixing traces, return times,
+    PLMap.image) are reduced (num, den) int pairs, placed over D to find
+    their piece.
     """
 
     def __init__(self, f: "PLMap"):
@@ -602,48 +605,95 @@ class _ExactEngine(_Engine):
         # f(y) = v_j + s_j (y - b_j), with s_j = A[j] / R
         self.A = [s.numerator * (R // s.denominator) for s in slopes]
 
+    def point(self, num: int, den: int) -> Tuple[int, int]:
+        """f(num/den) as a reduced pair, for a reduced pair (den > 0) in the
+        domain. Over D*den the point lies at num*D, so its piece is a
+        bisection over B (the domain's right end lies in the last piece)."""
+        D, B, R, A = self.D, self.B, self.R, self.A
+        at = num * D
+        k = bisect_right(B, at // den, 0, len(A)) - 1
+        y, d = self.V[k] * R * den + A[k] * (at - B[k] * den), D * R * den
+        g = math.gcd(y, d)
+        return y // g, d // g
+
+    def image(self, key: Tuple[int, int, int, int]) -> Tuple[int, int, int, int]:
+        """f([lo, hi]) for key = (lo num, lo den, hi num, hi den), reduced
+        pairs in the domain, as a key of the same kind: the extremes of f at
+        the two ends and at the breakpoints between, compared by
+        cross-multiplication."""
+        n0, d0, n1, d1 = key
+        lo = hi = self.point(n0, d0)
+        y = self.point(n1, d1)
+        if y[0] * lo[1] < lo[0] * y[1]:
+            lo = y
+        else:
+            hi = y
+        D, B = self.D, self.B
+        inner = self.V[bisect_right(B, n0 * D // d0) : bisect_right(B, n1 * D // d1)]
+        if inner:  # breakpoint values, over D
+            v = min(inner)
+            if v * lo[1] < lo[0] * D:
+                g = math.gcd(v, D)
+                lo = v // g, D // g
+            v = max(inner)
+            if v * hi[1] > hi[0] * D:
+                g = math.gcd(v, D)
+                hi = v // g, D // g
+        return (*lo, *hi)
+
     def first(self) -> _ExactIterate:
         return _ExactIterate(1, list(self.B), list(self.V))
 
     def refine(self, it: _ExactIterate, cap: int) -> _ExactIterate:
-        """f^(n+1) from f^n: cut each branch where f^n crosses a breakpoint.
-        Each end's piece of f and image under f are found once, for both
-        branches it bounds; a branch whose ends share a piece is not cut."""
-        L, R, A = self.L, self.R, self.A
-        scale = R ** (it.n - 1)
-        bs = [b * scale for b in self.B]  # breakpoints over Y_n
-        vs = [v * scale * R for v in self.V]  # their values over Y_(n+1)
-        head = bs[:-1]  # so that the domain's right end lies in the last piece
+        """f^(n+1) = f^n o f, by pullback. On piece j of f, the ends of
+        f^(n+1) are b_j and the preimages of the ends of f^n strictly inside
+        f(piece j), where f^(n+1) takes f^n's values; b_j takes f(f^n(b_j)).
+        On the lattice the preimage of x over X_n is x' = B_j*L^n +
+        c_j*(x - V_j*L^(n-1)) over X_(n+1), with c_j = R*L/A_j an integer,
+        and a value y over Y_n is y*R over Y_(n+1)."""
+        n, B, V, A, L, R = it.n, self.B, self.V, self.A, self.L, self.R
+        Ln = L ** (n - 1)
+        scale = R ** (n - 1)
+        bs = [b * scale for b in B]  # breakpoints over Y_n
+        vs = [v * scale * R for v in V]  # their values over Y_(n+1)
         xs, ys = it.xs, it.ys
-        pieces = [bisect_right(head, y) - 1 for y in ys]
-        # f^(n+1) at the ends of f^n, over Y_(n+1)
-        fys = [vs[j] + A[j] * (y - bs[j]) for y, j in zip(ys, pieces)]
-        x0 = xs[0] * L
-        new_xs, new_ys = [x0], [fys[0]]
-        for U, W, j, k, x1, fy in zip(ys, ys[1:], pieces, pieces[1:], xs[1:], fys[1:]):
-            x1 *= L
-            if j != k:  # cut at the breakpoints strictly inside the image
-                if U < W:
-                    cut_at = range(j + 1, bisect_left(bs, W))
-                else:
-                    cut_at = range(bisect_left(bs, U) - 1, k, -1)
-                for i in cut_at:
-                    step, rem = divmod((x1 - x0) * (bs[i] - U), W - U)
-                    if rem:
-                        raise ArithmeticError(
-                            f"cut of f^{it.n} at breakpoint {i} is not a multiple "
-                            f"of 1/{self.D * L ** it.n}"
-                        )
-                    new_xs.append(x0 + step)
-                    new_ys.append(vs[i])
-                if len(new_xs) > cap:
-                    raise BranchBudgetError(cap, it.n)
-            new_xs.append(x1)
-            new_ys.append(fy)
-            x0 = x1
+
+        def at_breakpoint(b: int) -> int:
+            """f^(n+1)(b) = f(f^n(b)) over Y_(n+1), for b over D."""
+            y = ys[bisect_left(xs, b * Ln)]
+            # the domain's right end lies in the last piece
+            k = bisect_right(bs, y, 0, len(A)) - 1
+            return vs[k] + A[k] * (y - bs[k])
+
+        new_xs: List[int] = []
+        new_ys: List[int] = []
+        for j, (b, u, w, a) in enumerate(zip(B, V, V[1:], A)):
+            c, rem = divmod(R * L, a)
+            if rem:
+                raise ArithmeticError(
+                    f"preimage under piece {j} of f is not a multiple "
+                    f"of 1/{self.D * L ** n}"
+                )
+            new_xs.append(b * Ln * L)
+            new_ys.append(at_breakpoint(b))
+            # the ends of f^n strictly inside f(piece j), in the order of their
+            # preimages
+            lo, hi = (u, w) if a > 0 else (w, u)
+            inside = slice(bisect_right(xs, lo * Ln), bisect_left(xs, hi * Ln))
+            ends, values = xs[inside], ys[inside]
+            if a < 0:
+                ends.reverse()
+                values.reverse()
+            base = (b * L - c * u) * Ln
+            new_xs += [base + c * x for x in ends]
+            new_ys += values if R == 1 else [y * R for y in values]
+            if len(new_xs) > cap:
+                raise BranchBudgetError(cap, n)
+        new_xs.append(B[-1] * Ln * L)
+        new_ys.append(at_breakpoint(B[-1]))
         if len(new_xs) - 1 > cap:
-            raise BranchBudgetError(cap, it.n)
-        return _ExactIterate(it.n + 1, new_xs, new_ys)
+            raise BranchBudgetError(cap, n)
+        return _ExactIterate(n + 1, new_xs, new_ys)
 
     def fixed_points(self, it: _ExactIterate) -> List[Tuple[int, int]] | _IdentityBranch:
         """Fix(f^n) in domain order: where f^n(x) - x changes sign on a branch,

@@ -6,7 +6,6 @@ import pytest
 from intervalmaps import (
     BranchBudgetError,
     Interval,
-    PLMap,
     build_covering_graph,
     estimate_entropy,
     minimal_slope,
@@ -15,6 +14,7 @@ from intervalmaps import (
     verify_mixing,
     verify_type,
 )
+from intervalmaps.plmap import _ExactEngine
 
 F = Fraction
 
@@ -206,9 +206,13 @@ class TestMixing:
         # seeds that reach the cap leave their images unsettled: a later seed
         # that meets one early can still cover in time
         ("f52", F(1, 1024), 64, 11),
+        # slopes with denominators (R > 1): image ends off the breakpoints' scale
+        ("f5_17/10", F(1, 1024), 64, 200),
+        ("f3_9/5", F(1, 1024), 64, 200),
     ])
     def test_first_cover_matches_traces(self, request, name, width, grid, cap):
-        m = odd_type_map(5, 1.9) if name == "float" else request.getfixturevalue(name)
+        built = {"float": (5, 1.9), "f5_17/10": (5, F(17, 10)), "f3_9/5": (3, F(9, 5))}
+        m = odd_type_map(*built[name]) if name in built else request.getfixturevalue(name)
         m = getattr(m, "map", m)
         report = verify_mixing(m, width, grid, cap)
         traced = tuple(mixing_trace(m, seed, cap)[0] for seed in report.seeds)
@@ -217,15 +221,16 @@ class TestMixing:
     def test_non_mixing_traces_stop_early(self, sqrt32, monkeypatch):
         """A trace that repeats an image, or meets one an earlier trace never
         covered from, stops there: running every seed to the cap would take
-        about 12,600 image calls here."""
+        about 12,600 image steps here. Exact traces step on the engine's int
+        keys, so the steps are counted there."""
         calls = []
-        image = PLMap.image
+        image = _ExactEngine.image
 
-        def counted(self, a):
-            calls.append(a)
-            return image(self, a)
+        def counted(self, key):
+            calls.append(key)
+            return image(self, key)
 
-        monkeypatch.setattr(PLMap, "image", counted)
+        monkeypatch.setattr(_ExactEngine, "image", counted)
         report = verify_mixing(sqrt32, F(1, 1024), 64, 200)
         assert report.first_cover.count(None) == 63
         assert len(calls) <= 1000

@@ -329,6 +329,32 @@ class TestSweep:
             == (par_dir / "summary.csv").read_text()
         )
 
+    @pytest.mark.parametrize("grid, row_start, document", [
+        (["--p", "3", "--lambda", "2,2/1"], "3,0,2,", "map_p3_d0_lam2_1.json"),
+        (["--target-entropy", "0.5,0.50"], "3,0,1.6487212707001282,",
+         "map_p3_d0_lam1.6487212707001282.json"),
+    ], ids=["lambda", "target-entropy"])
+    def test_equal_slopes_run_once(self, tmp_path, capsys, grid, row_start, document):
+        """Two texts of one slope are one cell: the first text's row, and one
+        document."""
+        out_dir = tmp_path / "cells"
+        code = main(["sweep", *grid, "--entropy-n", "4", "--type-q", "3",
+                     "--mixing-grid", "2", "--out-dir", str(out_dir)])
+        assert code == 0
+        rows = (out_dir / "summary.csv").read_text().splitlines()[1:]
+        assert len(rows) == 1 and rows[0].startswith(row_start)
+        assert sorted(p.name for p in out_dir.iterdir()) == [document, "summary.csv"]
+        assert capsys.readouterr().out.count("consistent") == 1
+
+    def test_exact_and_float_slope_both_run(self, tmp_path, capsys):
+        """2 and 2.0 build different maps (exact and floating), and a text
+        that does not parse keeps its error row."""
+        out_dir = tmp_path / "cells"
+        main(["sweep", "--p", "3", "--lambda", "2,2.0,x,x", "--entropy-n", "4",
+              "--type-q", "3", "--mixing-grid", "2", "--out-dir", str(out_dir)])
+        rows = (out_dir / "summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["2", "2.0", "x", "x"]
+
     def test_failed_cell_recorded(self, tmp_path, capsys):
         out_dir = tmp_path / "cells"
         code = main(
@@ -487,9 +513,10 @@ class TestMalformedDocument:
 class TestEngineEntryPoints:
     """The public PLMap methods a type check, an exact entropy estimate and a
     floating sweep cell go through: periodic points and the float pass advance
-    only by branches_of_iterate, mixing takes its images through PLMap.image,
-    an exact type check never counts laps, and exact lap counts build no
-    branch."""
+    only by branches_of_iterate, an exact type check never counts laps, and
+    exact lap counts build no branch. Floating mixing takes its images through
+    PLMap.image; exact mixing steps on the engine's int keys, so an exact type
+    check reaches image through the covering graph of --graph."""
 
     NAMES = ("branches_of_iterate", "periodic_points", "lap_growth", "image")
 

@@ -6,7 +6,9 @@ affine formula, and finds least periods by walking the orbit. It uses nothing
 from ``intervalmaps.plmap`` but the map's breakpoints and values.
 
 Rational lap and branch counts come from the interval graph, not the branch
-engine, so random exact maps check the two against each other as well.
+engine, so random exact maps check the two against each other as well. The
+engine builds f^(n+1) by pullback; ref_refine builds it the other way, by
+cutting the branches of f^n, on the same integer lattice.
 """
 
 import gc
@@ -29,7 +31,7 @@ from intervalmaps import (
     square_root,
 )
 from intervalmaps.kernel import FLOAT_TOL
-from intervalmaps.plmap import _FloatEngine, _FloatIterate
+from intervalmaps.plmap import _ExactIterate, _FloatEngine, _FloatIterate
 
 F = Fraction
 
@@ -221,6 +223,78 @@ def test_interval_graph_matches_branch_engine(m):
     iterates = [m.branches_of_iterate(n) for n in range(1, n_max + 1)]
     assert counts[:n_max] == [len(it) for it in iterates]
     assert m.lap_growth(n_max) == [branch_laps(it) for it in iterates]
+
+
+def ref_refine(e, it):
+    """f^(n+1) from f^n on the engine e's lattice, the other way round from
+    its pullback: cut each branch of f^n where f^n crosses a breakpoint of f,
+    at an exact integer division, and map each end of f^n by f."""
+    L, R, A = e.L, e.R, e.A
+    scale = R ** (it.n - 1)
+    bs = [b * scale for b in e.B]  # breakpoints over Y_n
+    vs = [v * scale * R for v in e.V]  # their values over Y_(n+1)
+    head = bs[:-1]  # so that the domain's right end lies in the last piece
+    pieces = [bisect_right(head, y) - 1 for y in it.ys]
+    fys = [vs[j] + A[j] * (y - bs[j]) for y, j in zip(it.ys, pieces)]
+    x0 = it.xs[0] * L
+    xs, ys = [x0], [fys[0]]
+    for U, W, j, k, x1, fy in zip(it.ys, it.ys[1:], pieces, pieces[1:], it.xs[1:], fys[1:]):
+        x1 *= L
+        if U < W:
+            cut_at = range(j + 1, bisect_left(bs, W))
+        else:
+            cut_at = range(bisect_left(bs, U) - 1, k, -1)
+        for i in cut_at:  # the breakpoints strictly inside the branch's image
+            step, rem = divmod((x1 - x0) * (bs[i] - U), W - U)
+            assert rem == 0
+            xs.append(x0 + step)
+            ys.append(vs[i])
+        xs.append(x1)
+        ys.append(fy)
+        x0 = x1
+    return _ExactIterate(it.n + 1, xs, ys)
+
+
+def assert_pullback_matches_cuts(m, n_max, most=None):
+    """f^1..f^n_max of the pass against ref_refine, and the Fix(f^n) the
+    pass records against that of the cut iterate; stops after the first
+    iterate with more than most branches."""
+    e = m._engine
+    ref = e.first()
+    for n in range(1, n_max + 1):
+        it = m.branches_of_iterate(n)
+        assert (it.n, it.xs, it.ys) == (ref.n, ref.xs, ref.ys), n
+        assert e.fixed[n - 1] == e.fixed_points(ref), n
+        if most is not None and len(it) > most:
+            break
+        ref = ref_refine(e, ref)
+
+
+@pytest.fixture(scope="module")
+def pullback_maps(maps):
+    return {
+        "f5_17/10": maps["f5_17/10"],
+        "f7_19/10": odd_type_map(7, F(19, 10)).map,
+        "f3_5/2": odd_type_map(3, F(5, 2)).map,
+        "f3_3": odd_type_map(3, F(3)).map,
+        "sqrt_sqrt52": maps["sqrt_sqrt52"],
+    }
+
+
+@pytest.mark.parametrize("name", ["f5_17/10", "f7_19/10", "f3_5/2", "f3_3", "sqrt_sqrt52"])
+def test_pullback_matches_cuts(pullback_maps, name):
+    """Slopes 17/10, 19/10, 5/2 and 3, and the double square root (L = 266,
+    R = 24), up to n = 12 or the first f^n past 30,000 branches."""
+    assert_pullback_matches_cuts(fresh(pullback_maps[name]), 12, most=30_000)
+
+
+@ENGINES_AGREE
+@given(exact_maps())
+def test_pullback_matches_cuts_on_random_maps(m):
+    """The same on random maps, for n <= 10 while f^n has at most 3000
+    branches."""
+    counts = m._hits(m.breakpoints[1:-1], 10)
+    assert_pullback_matches_cuts(m, max(n for n in range(1, 11) if counts[n - 1] <= 3000))
 
 
 def completed_n(call, n, cap):
