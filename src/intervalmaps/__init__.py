@@ -13,7 +13,6 @@ from .analysis import (
     MixingReport,
     TypeReport,
     estimate_entropy,
-    mixing_trace,
     verify_mixing,
     verify_type,
 )
@@ -34,7 +33,6 @@ from .covering import (
     CoveringGraph,
     build_covering_graph,
     primitive_cycle_census,
-    primitive_cycles,
 )
 from .kernel import (
     IntPolynomial,
@@ -43,7 +41,6 @@ from .kernel import (
     eval_slope_poly,
     is_exact,
     minimal_slope,
-    minimal_slope_bracket,
     scalar_from_str,
     scalar_to_str,
     slope_poly,
@@ -57,7 +54,7 @@ from .plmap import (
     PLMap,
     SlopeReport,
 )
-from .sharkovskii import TWO_INF, expected_period_set, sharkovskii_le
+from .sharkovskii import TWO_INF, expected_period_set
 
 __all__ = [
     "BranchBudgetError",
@@ -86,16 +83,12 @@ __all__ = [
     "expected_period_set",
     "is_exact",
     "minimal_slope",
-    "minimal_slope_bracket",
-    "mixing_trace",
     "odd_type_map",
     "orbit_and_t",
     "parse_slope_text",
     "primitive_cycle_census",
-    "primitive_cycles",
     "scalar_from_str",
     "scalar_to_str",
-    "sharkovskii_le",
     "slope_poly",
     "slope_poly_quotient",
     "square_root",

@@ -8,7 +8,8 @@ a periodic orbit can evade the graph argument). estimate_entropy reads the
 lap growth of iterates. verify_mixing iterates exact interval images until
 they fill the whole domain; the seeds' orbits merge, so a trace stops at the
 first image an earlier trace settled, or at a repeat of its own, which never
-covers.
+covers. Its reference, the plain image loop run to the cap for each seed, is
+mixing_trace in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "MixingReport",
     "TypeReport",
     "estimate_entropy",
-    "mixing_trace",
     "verify_mixing",
     "verify_type",
 ]
@@ -288,38 +288,15 @@ def _covers_domain(img: Interval, dom: Interval, exact: bool) -> bool:
     return img.lo <= dom.lo + FLOAT_TOL and img.hi >= dom.hi - FLOAT_TOL
 
 
-def mixing_trace(
-    f: PLMap, seed: Interval, cap: int
-) -> Tuple[Optional[int], List[Interval]]:
-    """Iterate exact images of seed until they equal the whole domain.
-
-    Returns (first n with f^n(seed) = domain, the list of images f^1..);
-    n is None if the cap is reached first. Rational mode demands exact
-    equality; floating mode accepts covering up to FLOAT_TOL at each end.
-    This plain loop is the reference for verify_mixing.
-    """
-    dom = f.domain
-    exact = f.is_exact and is_exact(seed.lo) and is_exact(seed.hi)
-    if _covers_domain(seed, dom, exact):
-        return 0, []
-    images: List[Interval] = []
-    cur = seed
-    for n in range(1, cap + 1):
-        cur = f.image(cur)
-        images.append(cur)
-        if _covers_domain(cur, dom, exact):
-            return n, images
-    return None, images
-
-
 def _key(a: Interval) -> Tuple[int, int, int, int]:
     """An interval with rational ends as the engine's image key."""
     return (a.lo.numerator, a.lo.denominator, a.hi.numerator, a.hi.denominator)
 
 
 def _first_cover(f: PLMap, seed: Interval, cap: int, known: dict) -> Optional[int]:
-    """mixing_trace's first cover time, cut short by known, a table of image
-    -> first cover time (math.inf: never). An image met at step n with time
+    """The first n <= cap with f^n(seed) equal to the domain (within FLOAT_TOL
+    at each end in floating mode), cut short by known, a table of image ->
+    first cover time (math.inf: never). An image met at step n with time
     r gives n + r, None past cap. A new image enters known as inf, so a
     repeat within the trace, a cycle that never covers, gives None too; it
     gets its true time when the trace ends, or leaves known at the cap.
@@ -359,7 +336,8 @@ def verify_mixing(
     domain (clipped to it). Failures at the cap are recorded, not raised.
     The seeds' orbits merge, so each image a trace settles is kept with its
     first cover time (or as never covering), and a later trace stops at it.
-    The first cover times are those of mixing_trace.
+    The first cover times are those of tests/oracles.py's mixing_trace, the
+    plain image loop run to the cap.
     """
     w = as_scalar(seed_width)
     if not w > 0:

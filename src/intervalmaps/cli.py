@@ -299,10 +299,10 @@ def _sweep_cells(args) -> List[Tuple[int, int, str]]:
         min3 = math.log(minimal_slope(3))
         for text, h in args.target_entropy:
             d = 0
-            while min3 / (2 ** d) > h:
+            while math.ldexp(h, d) < min3:
                 d += 1
             try:
-                slope = math.exp((2 ** d) * h)
+                slope = math.exp(math.ldexp(h, d))
             except OverflowError:
                 raise _UsageError(
                     f"target entropy {text} is too large: "

@@ -118,8 +118,6 @@ class ConstructedMap:
 
     map: PLMap
     markers: Markers
-    full_tents: int       # number of full-height tents (k)
-    middle_length: Scalar  # t - 1/slope (0 when the block is collapsed)
 
 
 def stefan_map(p: int) -> PLMap:
@@ -214,11 +212,8 @@ def odd_type_map(p: int, slope) -> ConstructedMap:
     tents: Dict[str, Interval] = {}
     if collapsed:
         t_used: Scalar = inv
-        k = 0
-        ell_used: Scalar = zero
     else:
         t_used = t
-        ell_used = ell
         k = math.floor((s * ell) / (2 * height))
         step = 2 * height / s
         left = inv
@@ -252,7 +247,7 @@ def odd_type_map(p: int, slope) -> ConstructedMap:
     markers = Markers(tuple(xs), t_used, intervals)
     verify_markers(m, p, markers)
 
-    return ConstructedMap(map=m, markers=markers, full_tents=k, middle_length=ell_used)
+    return ConstructedMap(map=m, markers=markers)
 
 
 def _hull(a: Scalar, b: Scalar) -> Interval:
@@ -261,7 +256,7 @@ def _hull(a: Scalar, b: Scalar) -> Interval:
 
 def _verify_build(m, s, tents, height) -> None:
     tol = m.tol
-    report = m.is_constant_slope(s, tol)
+    report = m.is_constant_slope(s)
     if not report:
         raise RuntimeError(f"internal: slopes {report.slopes} are not all +-{s}")
     for name, iv in tents.items():
@@ -313,7 +308,7 @@ def square_root(f: PLMap, rescale: bool = True) -> PLMap:
 def parse_slope_text(text: str, p: int) -> Scalar:
     """Slope argument parser: 'a/b' and bare integers are exact rationals,
     decimals are binary64, and 'lambda_p' resolves the minimal slope for p
-    numerically (to minimal_slope's default bracket width)."""
+    numerically (to within minimal_slope's 1e-12)."""
     t = text.strip()
     if t.lower() == "lambda_p":
         return minimal_slope(p)

@@ -5,8 +5,8 @@ covering the domain. The graph has an arrow A -> B whenever the image of A
 meets the interior of B; the arrow is full when the image covers all of B,
 partial otherwise. Primitive cycles (closed edge-walks not obtained by
 repeating a shorter one, counted up to rotation) certify absence of periods.
-The census counts them by a trace formula on the adjacency matrix;
-primitive_cycles lists them by depth-first search and is its check.
+The census counts them by a trace formula on the adjacency matrix; its check,
+a depth-first listing of the cycles, is primitive_cycles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "build_covering_graph",
     "check_partition",
     "primitive_cycle_census",
-    "primitive_cycles",
 ]
 
 
@@ -41,13 +40,6 @@ class CoveringGraph:
 
     def labels(self) -> List[str]:
         return [name for name, _ in self.vertices]
-
-    def without_vertex(self, label: str) -> "CoveringGraph":
-        """Subgraph with one vertex (and its incident edges) removed."""
-        return CoveringGraph(
-            tuple((n, iv) for n, iv in self.vertices if n != label),
-            tuple(e for e in self.edges if e[0] != label and e[1] != label),
-        )
 
     def to_dot(self) -> str:
         """DOT text; solid arrows are full coverings, dashed are partial."""
@@ -109,53 +101,13 @@ def check_partition(
     return items
 
 
-def primitive_cycles(graph: CoveringGraph, max_len: int) -> List[Tuple[str, ...]]:
-    """All primitive cycles of length <= max_len, each as its canonical
-    (lexicographically minimal) rotation. Full and partial arrows both count."""
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    labels = graph.labels()
-    index = {name: i for i, name in enumerate(labels)}
-    succ: List[List[int]] = [[] for _ in labels]
-    for a, b, _kind in graph.edges:
-        succ[index[a]].append(index[b])
-    for lst in succ:
-        lst.sort()
-
-    out: List[Tuple[str, ...]] = []
-    path: List[int] = []
-
-    def extend(start: int, length: int):
-        if len(path) == length:
-            if start in succ[path[-1]]:
-                seq = tuple(path)
-                if _is_canonical(seq) and _is_primitive(seq):
-                    named = tuple(labels[i] for i in seq)
-                    out.append(
-                        min(named[i:] + named[:i] for i in range(len(named)))
-                    )
-            return
-        for nxt in succ[path[-1]]:
-            if nxt >= start:  # the canonical rotation starts at the least vertex
-                path.append(nxt)
-                extend(start, length)
-                path.pop()
-
-    for length in range(1, max_len + 1):
-        for start in range(len(labels)):
-            path[:] = [start]
-            extend(start, length)
-    return out
-
-
 def primitive_cycle_census(graph: CoveringGraph, max_len: int) -> Dict[int, int]:
     """Counts of primitive cycles (up to rotation) for each length <= max_len.
 
     Necklace counting: with A the 0/1 adjacency matrix, tr(A^d) counts the
     closed walks of length d, and Moebius inversion over the divisors of n
     leaves the primitive ones, n rotations each, so the count of length n is
-    (1/n) * sum over d | n of mu(n/d) * tr(A^d). primitive_cycles lists the
-    same cycles by search."""
+    (1/n) * sum over d | n of mu(n/d) * tr(A^d)."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     labels = graph.labels()
@@ -187,16 +139,3 @@ def _moebius(n: int) -> int:
             result = -result
         d += 1
     return -result if n > 1 else result
-
-
-def _is_canonical(seq: Tuple[int, ...]) -> bool:
-    n = len(seq)
-    return all(seq <= seq[i:] + seq[:i] for i in range(1, n))
-
-
-def _is_primitive(seq: Tuple[int, ...]) -> bool:
-    n = len(seq)
-    for d in range(1, n):
-        if n % d == 0 and seq == seq[:d] * (n // d):
-            return False
-    return True

@@ -81,7 +81,10 @@ def scalar_from_str(text: str) -> Scalar:
     t = text.strip()
     if "/" in t:
         num, _, den = t.partition("/")
-        return Fraction(int(num), int(den))
+        num, den = int(num), int(den)
+        if den == 0:
+            raise ValueError(f"scalar {t!r} has a zero denominator")
+        return Fraction(num, den)
     return as_scalar(float(t))
 
 
@@ -167,11 +170,12 @@ def minimal_slope_bracket(p: int, tol: float = 1e-12) -> Tuple[float, float]:
     return (lo, hi)
 
 
-def minimal_slope(p: int, tol: float = 1e-12) -> float:
-    """The unique positive root of slope_poly(p), to within tol.
+def minimal_slope(p: int) -> float:
+    """The unique positive root of slope_poly(p): the midpoint of
+    minimal_slope_bracket(p), whose width is at most 1e-12.
 
     Always lies strictly between sqrt(2) and 2, and decreases toward sqrt(2)
     as p grows.
     """
-    lo, hi = minimal_slope_bracket(p, tol)
+    lo, hi = minimal_slope_bracket(p)
     return 0.5 * (lo + hi)

@@ -231,12 +231,6 @@ class PLMap:
             return vals[j]
         return vals[j] + (x - bps[j]) * self.slopes[j]
 
-    def iterate(self, x: Scalar, n: int) -> Scalar:
-        y = as_scalar(x)
-        for _ in range(n):
-            y = self.eval(y)
-        return y
-
     def image(self, a: Interval) -> Interval:
         """Exact set-image of a closed subinterval: extrema over the endpoint
         values and the values at breakpoints interior to a.
@@ -259,9 +253,10 @@ class PLMap:
 
     # -- laps ----------------------------------------------------------------
 
-    def is_constant_slope(self, target: Scalar, tol: Scalar = 0) -> SlopeReport:
-        """Check that every piece has |slope| within tol of target."""
+    def is_constant_slope(self, target: Scalar) -> SlopeReport:
+        """Check that every piece has |slope| within the map's tol of target."""
         target = as_scalar(target)
+        tol = self.tol
         devs = tuple(abs(abs(s) - target) for s in self.slopes)
         return SlopeReport(
             ok=all(d <= tol for d in devs),

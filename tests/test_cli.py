@@ -268,6 +268,17 @@ class TestSweep:
         assert "usage error: target entropy 1000 is too large" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_target_entropy_past_float_doublings(self, tmp_path, capsys):
+        """h = 1e-310 needs d = 1029, where 2^d no longer converts to a float:
+        the search doubles h instead, and the map it asks for is refused in
+        its row, as for other tiny targets."""
+        out_dir = tmp_path / "tiny"
+        code = main(["sweep", "--target-entropy", "1e-310", "--out-dir", str(out_dir)])
+        assert code == 2
+        row = (out_dir / "summary.csv").read_text().splitlines()[1].split(",")
+        assert row[:2] == ["3", "1029"]
+        assert row[5].startswith("error: ")
+
     def test_target_entropy_inf_usage_error(self, tmp_path, capsys):
         out_dir = tmp_path / "inf"
         code = main(["sweep", "--target-entropy", "inf", "--out-dir", str(out_dir)])
@@ -463,6 +474,27 @@ class TestMalformedDocument:
         assert main(["analyze", str(path), "--type", "3"]) == 1
         message = "error: document field 'tol' must be 1e-09, got 1e-06\n"
         assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("field", [
+        "lambda", "breakpoint", "value", "orbit point", "t", "interval end",
+    ])
+    def test_zero_denominator_exits_one(self, tmp_path, capsys, field):
+        def edit(obj):
+            markers = obj["markers"]
+            holder, key = {
+                "lambda": (obj["params"], "lambda"),
+                "breakpoint": (obj["breakpoints"], 1),
+                "value": (obj["values"], 1),
+                "orbit point": (markers["orbit"], 0),
+                "t": (markers, "t"),
+                "interval end": (markers["intervals"]["I1"], 1),
+            }[field]
+            holder[key] = "3/0"
+
+        path = self.rewrite(tmp_path, edit)
+        capsys.readouterr()
+        assert main(["analyze", str(path), "--type", "3"]) == 1
+        assert capsys.readouterr().err == "error: scalar '3/0' has a zero denominator\n"
 
     def test_mistyped_field_exits_one(self, tmp_path, capsys):
         path = self.rewrite(tmp_path, lambda obj: obj["params"].update(p=None))

@@ -11,8 +11,8 @@ from intervalmaps import (
     Interval,
     build_covering_graph,
     primitive_cycle_census,
-    primitive_cycles,
 )
+from oracles import primitive_cycles
 
 F = Fraction
 
@@ -154,7 +154,10 @@ class TestCycles:
 
     def test_cycles_avoiding_start_interval_are_even(self, graph52, graph72):
         for g in (graph52, graph72):
-            sub = g.without_vertex("I1")
+            sub = CoveringGraph(
+                tuple((name, iv) for name, iv in g.vertices if name != "I1"),
+                tuple(e for e in g.edges if "I1" not in e[:2]),
+            )
             census = primitive_cycle_census(sub, 9)
             assert all(count == 0 for length, count in census.items() if length % 2)
 

@@ -2,7 +2,8 @@
 
 The reference below is the plain slope/offset refinement in ``Fraction``s: it
 rebuilds f^q from f for every q, solves each branch's fixed point from its
-affine formula, and finds least periods by walking the orbit. It uses nothing
+affine formula, and finds least periods by walking the orbit with
+``oracles.ref_eval``. It uses nothing
 from ``intervalmaps.plmap`` but the map's breakpoints and values.
 
 Rational lap and branch counts come from the interval graph, not the branch
@@ -32,14 +33,9 @@ from intervalmaps import (
 )
 from intervalmaps.kernel import FLOAT_TOL
 from intervalmaps.plmap import _ExactIterate, _FloatEngine, _FloatIterate
+from oracles import ref_eval, ref_image
 
 F = Fraction
-
-
-def ref_eval(m, x):
-    bps, vals = m.breakpoints, m.values
-    j = min(bisect_right(bps, x) - 1, len(bps) - 2)
-    return vals[j] + (x - bps[j]) * (vals[j + 1] - vals[j]) / (bps[j + 1] - bps[j])
 
 
 def ref_iterates(m):
@@ -595,12 +591,6 @@ def test_exact_return_time_matches_eval_loop(m, interior, near):
     fixed = [F(*x) for fix in m._engine.fixed if isinstance(fix, list) for x in fix]
     points = [*m.breakpoints, *m.values, *fixed, *interior, 0.5, -near, 1 + near]
     assert_return_times_match(m, points, (F(-1, 10**9), 1 + F(1, 10**9), -2 * FLOAT_TOL))
-
-
-def ref_image(m, lo, hi, evaluate):
-    """The extrema of evaluate at both ends and the breakpoints inside."""
-    ys = [evaluate(x) for x in (lo, hi, *(b for b in m.breakpoints if lo < b < hi))]
-    return min(ys), max(ys)
 
 
 def typed(*xs):

@@ -10,12 +10,12 @@ from intervalmaps import (
     eval_slope_poly,
     is_exact,
     minimal_slope,
-    minimal_slope_bracket,
     scalar_from_str,
     scalar_to_str,
     slope_poly,
     slope_poly_quotient,
 )
+from intervalmaps.kernel import minimal_slope_bracket
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 ODD_PS = list(range(3, 32, 2))
@@ -89,10 +89,10 @@ class TestPolynomials:
 class TestMinimalSlope:
     def test_golden_ratio(self):
         # P_3 = (X+1)(X^2 - X - 1), so the root is (1 + sqrt 5)/2
-        assert abs(minimal_slope(3, 1e-12) - GOLDEN) <= 1e-12
+        assert abs(minimal_slope(3) - GOLDEN) <= 1e-12
 
     def test_residual(self):
-        r = minimal_slope(5, 1e-10)
+        r = minimal_slope(5)
         assert abs(eval_slope_poly(5, r)) < 1e-8
 
     def test_range_and_decreasing(self):
@@ -120,9 +120,9 @@ class TestMinimalSlope:
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
-            minimal_slope(3, 0.0)
+            minimal_slope_bracket(3, 0.0)
         with pytest.raises(ValueError):
-            minimal_slope(3, -1e-9)
+            minimal_slope_bracket(3, -1e-9)
 
 
 class TestScalarText:

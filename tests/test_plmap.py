@@ -14,6 +14,7 @@ from intervalmaps import (
     odd_type_map,
     stefan_map,
 )
+from oracles import iterate
 
 F = Fraction
 
@@ -200,11 +201,11 @@ class TestPeriodicPoints:
     def test_points_verify_exactly(self, f52):
         for q in range(1, 7):
             for x, lp in f52.map.periodic_points(q):
-                assert f52.map.iterate(x, q) == x
+                assert iterate(f52.map, x, q) == x
                 assert q % lp == 0
                 # least period really is least
                 for j in range(1, lp):
-                    assert f52.map.iterate(x, j) != x
+                    assert iterate(f52.map, x, j) != x
 
     def test_sorted_and_deduplicated(self, f32, f52):
         for m in (f32.map, f52.map):
@@ -253,19 +254,19 @@ class TestPeriodicPoints:
 
 class TestConstantSlope:
     def test_exact_true(self, f52):
-        assert f52.map.is_constant_slope(F(2), 0)
+        assert f52.map.is_constant_slope(F(2))
 
     def test_square_root_not_constant(self, sqrt32):
-        report = sqrt32.is_constant_slope(F(2), 0)
+        report = sqrt32.is_constant_slope(F(2))
         assert not report
         # the connecting segment has slope -(x0 + 2b)/b = -5/2 (after rescale)
         assert F(-5, 2) in report.slopes
 
     def test_wrong_slope_false(self, f52):
-        assert not f52.map.is_constant_slope(F(3), 0)
+        assert not f52.map.is_constant_slope(F(3))
 
     def test_report_fields(self, f32):
-        report = f32.map.is_constant_slope(F(2), 0)
+        report = f32.map.is_constant_slope(F(2))
         assert report.ok and bool(report)
         assert len(report.slopes) == len(f32.map.breakpoints) - 1
         assert all(d == 0 for d in report.deviations)

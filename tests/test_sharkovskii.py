@@ -1,6 +1,7 @@
 import pytest
 
-from intervalmaps import TWO_INF, expected_period_set, sharkovskii_le
+from intervalmaps import TWO_INF, expected_period_set
+from intervalmaps.sharkovskii import sharkovskii_le
 
 UNIVERSE = list(range(1, 65)) + [TWO_INF]
 
