@@ -15,13 +15,13 @@ mixing_trace in tests/oracles.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .covering import build_covering_graph, primitive_cycle_census
-from .kernel import FLOAT_TOL, Scalar, as_scalar, is_exact, scalar_to_str
+from .covering import CoveringGraph, build_covering_graph, primitive_cycle_census
+from .kernel import FLOAT_TOL, Scalar, _fraction, as_scalar, is_exact, scalar_to_str
 from .plmap import DEFAULT_BRANCH_CAP, BranchBudgetError, Interval, PLMap
 from .sharkovskii import SharkovskiiValue, TWO_INF, expected_period_set
 
@@ -55,6 +55,8 @@ class TypeReport:
     census: Optional[Dict[int, int]]
     boundary_periods: Optional[Dict[str, Optional[int]]]
     excluded_odd_periods: Optional[Tuple[int, ...]]
+    # the covering graph the census counted, kept for a DOT; not reported
+    graph: Optional[CoveringGraph] = field(default=None, compare=False, repr=False)
 
     def as_dict(self) -> dict:
         return {
@@ -134,7 +136,7 @@ def verify_type(
     else:
         verdict = "consistent"
 
-    census = boundary_periods = excluded = None
+    graph = census = boundary_periods = excluded = None
     if partition is not None:
         graph = build_covering_graph(f, partition)
         census = primitive_cycle_census(graph, q_max)
@@ -160,6 +162,7 @@ def verify_type(
         census=census,
         boundary_periods=boundary_periods,
         excluded_odd_periods=excluded,
+        graph=graph,
     )
 
 
@@ -327,13 +330,49 @@ def _first_cover(f: PLMap, seed: Interval, cap: int, known: dict) -> Optional[in
     return None
 
 
+def _exact_seeds(dom: Interval, w: Fraction, grid: int) -> List[Interval]:
+    """The seeds of an exact width on an exact domain. Every end is an int
+    over one common denominator M, the lcm of the denominators of the domain's
+    ends, of span/(2*grid) (as 2*grid*span.denominator) and of w/2; ends are
+    clipped by int comparison and reduced by one gcd each."""
+    lo, hi = dom.lo, dom.hi
+    span, half = hi - lo, w / 2
+    step = 2 * grid * span.denominator
+    M = math.lcm(lo.denominator, hi.denominator, step, half.denominator)
+    a, b = lo.numerator * (M // lo.denominator), hi.numerator * (M // hi.denominator)
+    unit, h = span.numerator * (M // step), half.numerator * (M // half.denominator)
+
+    def end(x: int) -> Fraction:
+        g = math.gcd(x, M)
+        return _fraction(x // g, M // g)
+
+    seeds = []
+    for i in range(grid):
+        center = a + (2 * i + 1) * unit
+        seeds.append(Interval(end(max(a, center - h)), end(min(b, center + h))))
+    return seeds
+
+
+def _float_seeds(dom: Interval, w: float, grid: int) -> List[Interval]:
+    """The seeds of a floating width, or on a floating map."""
+    span = dom.hi - dom.lo
+    seeds = []
+    for i in range(grid):
+        center = dom.lo + span * ((2 * i + 1) / (2 * grid))
+        seeds.append(Interval(max(dom.lo, center - w / 2), min(dom.hi, center + w / 2)))
+    return seeds
+
+
 def verify_mixing(
     f: PLMap, seed_width, grid: int, cap: int
 ) -> MixingReport:
     """Check that every seed interval eventually covers the whole domain.
 
     Seeds of the given width are centered at (2i+1)/(2*grid) across the
-    domain (clipped to it). Failures at the cap are recorded, not raised.
+    domain (clipped to it). With an exact width on an exact map the seeds are
+    laid out in ints over one common denominator and become Fractions without
+    Fraction.__new__; their Fraction-arithmetic layout is mixing_seeds in
+    tests/oracles.py. Failures at the cap are recorded, not raised.
     The seeds' orbits merge, so each image a trace settles is kept with its
     first cover time (or as never covering), and a later trace stops at it.
     The first cover times are those of tests/oracles.py's mixing_trace, the
@@ -347,21 +386,13 @@ def verify_mixing(
     exact = f.is_exact and is_exact(w)
     if not exact:
         w = float(w)
-    dom = f.domain
-    span = dom.hi - dom.lo
-    seeds: List[Interval] = []
-    firsts: List[Optional[int]] = []
+    seeds = _exact_seeds(f.domain, w, grid) if exact else _float_seeds(f.domain, w, grid)
     # image -> first cover time. Every trace of one call applies the same
     # cover test and keys images alike: with a float width, only a seed
     # clipped to the whole domain has exact ends, and it covers at once
     # without images.
     known: dict = {}
-    for i in range(grid):
-        frac = Fraction(2 * i + 1, 2 * grid) if exact else (2 * i + 1) / (2 * grid)
-        center = dom.lo + span * frac
-        seed = Interval(max(dom.lo, center - w / 2), min(dom.hi, center + w / 2))
-        seeds.append(seed)
-        firsts.append(_first_cover(f, seed, cap, known))
+    firsts = [_first_cover(f, seed, cap, known) for seed in seeds]
     hits = [n for n in firsts if n is not None]
     return MixingReport(
         seed_width=w,

@@ -271,7 +271,8 @@ def cmd_analyze(args) -> int:
             worst = max(worst, EXIT_REFUTED)
 
     if args.graph is not None:
-        graph = build_covering_graph(m, partition)
+        # verify_type built the same graph for its census
+        graph = tr.graph if args.type_q is not None else build_covering_graph(m, partition)
         write_text_atomic(args.graph, graph.to_dot())
         report["graph"] = {
             "dot_path": args.graph,

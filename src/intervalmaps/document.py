@@ -167,11 +167,18 @@ def document_for(params: ConstructionParams, rescale: bool = True) -> MapDocumen
     """Build the map params describe, of type 2^d * p and entropy
     log(slope) / 2^d: the odd-type map followed by d square roots. Markers
     are carried only when d = 0; the square-root conjugacy does not preserve
-    them."""
+    them. A root that is no map (in floating mode, rounding merges two
+    breakpoints or two values once the map's features shrink below an ulp)
+    raises ValueError naming the root and d."""
     built = odd_type_map(params.p, params.slope)
     final = built.map
-    for _ in range(params.doublings):
-        final = square_root(final, rescale=rescale)
+    for k in range(1, params.doublings + 1):
+        try:
+            final = square_root(final, rescale=rescale)
+        except ValueError as exc:
+            raise ValueError(
+                f"square root {k} of d = {params.doublings} is not a valid map: {exc}"
+            ) from None
     return MapDocument(
         params=params,
         rescale=rescale,
@@ -187,16 +194,20 @@ def document_for(params: ConstructionParams, rescale: bool = True) -> MapDocumen
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Whole-file atomic write (temp file in the same directory, then rename)."""
+    """Whole-file atomic write (temp file in the same directory, then rename).
+    A failed write raises an OSError that names path, not the temp file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror or str(exc), path) from None
         raise
 
 

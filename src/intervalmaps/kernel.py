@@ -54,6 +54,17 @@ def as_scalar(x) -> Scalar:
     raise TypeError(f"cannot interpret {x!r} as a scalar")
 
 
+def _fraction(num: int, den: int) -> Fraction:
+    """num/den for a reduced int pair with den > 0, built the way CPython
+    3.12's Fraction._from_coprime_ints builds it: the two slots set directly,
+    with no argument checks and no gcd. A pair that is not reduced gives a
+    Fraction that compares and hashes wrong."""
+    x = object.__new__(Fraction)
+    x._numerator = num
+    x._denominator = den
+    return x
+
+
 def is_exact(x: Scalar) -> bool:
     """True for rational scalars, False for floating ones."""
     return isinstance(x, Fraction)

@@ -31,13 +31,15 @@ the ends of f^n inside the piece's image, a slice found by two bisections and
 mapped by one multiply-add per end, and f^(n+1) takes f^n's values there.
 Fixed points are the sign changes of f^q(x) - x, taken once per end, kept as
 reduced (num, den) int pairs: least periods come from one dict over the
-recorded Fix(f^j) of the proper divisors j of q, and a Fraction is built only
-for the returned list. The lap counts' interval graph uses the same lattice:
-its node ends are ints over the single scale D*R^(n_max-1). Points and
-interval images off that scale are reduced int pairs, which find their piece
-by bisection over the int breakpoint numerators: exact mixing traces and
-return times step on them directly, and image wraps the same step. Every
-division on the lattice is exact, and a remainder raises ArithmeticError.
+recorded Fix(f^j) of the proper divisors j of q. Fractions are made only
+where a result is returned: kernel._fraction turns a reduced pair into one by
+setting its two slots, with no gcd and no argument checks. The lap counts'
+interval graph uses the same lattice: its node ends are ints over the single
+scale D*R^(n_max-1). Points and interval images off that scale are reduced
+int pairs, which find their piece by bisection over the int breakpoint
+numerators: exact mixing traces and return times step on them directly, and
+image wraps the same step. Every division on the lattice is exact, and a
+remainder raises ArithmeticError.
 Floating mode carries each branch's slope and offset in binary64, cuts it
 where its image crosses a breakpoint, and reads least periods as return times
 within FLOAT_TOL. No itinerary is stored; an error that names one recomputes
@@ -57,7 +59,7 @@ from functools import cached_property
 from operator import ne
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .kernel import FLOAT_TOL, Scalar, _tolerance, as_scalar, is_exact
+from .kernel import FLOAT_TOL, Scalar, _fraction, _tolerance, as_scalar, is_exact
 
 # Duplicate float fixed points at shared branch ends; the float engine's
 # results depend on this value bit for bit.
@@ -244,7 +246,7 @@ class PLMap:
             n0, d0, n1, d1 = self._engine.image(
                 (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
             )
-            return Interval(Fraction(n0, d0), Fraction(n1, d1))
+            return Interval(_fraction(n0, d0), _fraction(n1, d1))
         vals = [self.eval(lo), self.eval(hi)]
         start = bisect_right(self.breakpoints, lo)
         end = bisect_left(self.breakpoints, hi)
@@ -413,8 +415,10 @@ class PLMap:
         on with branches_of_iterate, and a q already passed only checks the
         cap against the recorded branch counts. In rational mode a fixed point
         is the exact zero of f^q(x) - x where that changes sign between the
-        branch ends, and its least period is the least divisor j of q with the
-        point in the recorded Fix(f^j). In floating mode it is solved from the
+        branch ends, kept as a reduced int pair, and its least period is the
+        least divisor j of q with the pair in the recorded Fix(f^j); the
+        returned Fractions are made from those pairs in one pass, without
+        Fraction.__new__. In floating mode it is solved from the
         branch's slope and offset, duplicates within 1e-12 are merged, and
         least periods are return times; a point that does not return raises
         OrbitNotClosedError. A branch on which f^q is the identity raises
@@ -430,7 +434,7 @@ class PLMap:
             )
         if self.is_exact:
             periods = engine.least_periods(points, q)
-            return [(Fraction(*x), j) for x, j in zip(points, periods)]
+            return [(_fraction(n, d), j) for (n, d), j in zip(points, periods)]
         out = []
         for x in points:
             j = self.return_time(x, q)

@@ -2,8 +2,9 @@
 
 Each is the plain, slow way to do a job the library does faster. Orbits and
 exact interval images step with ref_eval, which reads only a map's
-breakpoints and values; mixing traces run every seed to the cap; cycles are
-listed one by one by depth-first search. Only a floating mixing trace
+breakpoints and values; mixing seeds are laid out in Fraction arithmetic and
+their traces run to the cap; cycles are listed one by one by depth-first
+search. Only a floating mixing trace
 evaluates through PLMap.eval, for its clamp of round-off at the domain's ends.
 """
 
@@ -63,6 +64,18 @@ def mixing_trace(m, seed, cap):
         cur = Interval(*ref_image(m, cur.lo, cur.hi, evaluate))
         images.append(cur)
     return len(images), images
+
+
+def mixing_seeds(m, width, grid):
+    """The seeds of verify_mixing in Fraction arithmetic: intervals of the
+    given width centred at (2i+1)/(2*grid) across the domain, clipped to it."""
+    lo, hi = m.breakpoints[0], m.breakpoints[-1]
+    span = hi - lo
+    seeds = []
+    for i in range(grid):
+        center = lo + span * Fraction(2 * i + 1, 2 * grid)
+        seeds.append(Interval(max(lo, center - width / 2), min(hi, center + width / 2)))
+    return tuple(seeds)
 
 
 def primitive_cycles(graph, max_len):

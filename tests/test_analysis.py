@@ -1,5 +1,7 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +17,16 @@ from intervalmaps import (
 )
 from intervalmaps.plmap import _ExactEngine
 from intervalmaps.sharkovskii import sharkovskii_le
-from oracles import iterate, mixing_trace
+from intervalmaps.document import load_document
+from intervalmaps.kernel import scalar_to_str
+from oracles import iterate, mixing_seeds, mixing_trace
 
 F = Fraction
+RATIONAL_DOCS = [
+    path
+    for path in sorted((Path(__file__).parent / "data").glob("map_*.json"))
+    if json.loads(path.read_text())["params"]["mode"] == "rational"
+]
 
 
 class TestVerifyType:
@@ -216,6 +225,22 @@ class TestMixing:
         report = verify_mixing(m, width, grid, cap)
         traced = tuple(mixing_trace(m, seed, cap)[0] for seed in report.seeds)
         assert report.first_cover == traced
+
+    @pytest.mark.parametrize("path", RATIONAL_DOCS, ids=lambda path: path.stem)
+    def test_int_seeds_match_fraction_layout(self, path):
+        """Exact seeds laid out in ints equal the Fraction-arithmetic layout,
+        ends reduced, on [0, 1] and on the [0, 3b] of a --no-rescale root; a
+        width of 2 is clipped to the domain."""
+        m = load_document(path).map
+        for width in (F(1, 1024), F(1, 3), F(5, 7), F(2)):
+            for grid in (1, 7, 64):
+                seeds = verify_mixing(m, width, grid, 1).seeds
+                expected = mixing_seeds(m, width, grid)
+                assert seeds == expected
+                assert [(scalar_to_str(s.lo), scalar_to_str(s.hi)) for s in seeds] == [
+                    (scalar_to_str(s.lo), scalar_to_str(s.hi)) for s in expected
+                ]
+                assert all(type(x) is Fraction for s in seeds for x in (s.lo, s.hi))
 
     def test_non_mixing_traces_stop_early(self, sqrt32, monkeypatch):
         """A trace that repeats an image, or meets one an earlier trace never

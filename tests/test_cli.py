@@ -120,6 +120,54 @@ class TestAnalyze:
         assert lines[1].startswith("1,6,")
         assert len(lines) == 11
 
+    def test_graph_built_once(self, tmp_path, capsys, monkeypatch):
+        """With --type, the DOT comes from the graph the type check built for
+        its census; without it, analyze builds the graph itself. Both write
+        the same bytes and counts."""
+        from intervalmaps import analysis, cli
+        from intervalmaps.covering import build_covering_graph
+
+        path = construct(tmp_path, "--p", "5", "--lambda", "2")
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return build_covering_graph(*args)
+
+        monkeypatch.setattr(analysis, "build_covering_graph", counted)
+        monkeypatch.setattr(cli, "build_covering_graph", counted)
+        doc = load_document(str(path))
+        expected = build_covering_graph(doc.map, doc.markers.partition()).to_dot()
+        graphs = []
+        for extra in (["--type", "7"], []):
+            capsys.readouterr()
+            built.clear()
+            dot = tmp_path / f"g{len(extra)}.dot"
+            assert main(["analyze", str(path), *extra, "--graph", str(dot)]) == 0
+            assert len(built) == 1
+            assert dot.read_text() == expected
+            report = json.loads(capsys.readouterr().out)["graph"]
+            graphs.append({k: v for k, v in report.items() if k != "dot_path"})
+        assert graphs[0] == graphs[1]
+
+    @pytest.mark.parametrize("command", ["construct --out", "analyze --csv", "analyze --graph"])
+    def test_failed_write_names_path(self, tmp_path, capsys, command):
+        """A write into a missing directory reports the requested path, not
+        the temp file of the atomic write, and leaves nothing behind."""
+        path = construct(tmp_path, "--p", "3", "--lambda", "2")
+        target = tmp_path / "missing" / "out.txt"
+        argv = {
+            "construct --out": ["construct", "--p", "3", "--out", str(target)],
+            "analyze --csv": ["analyze", str(path), "--entropy", "5", "--csv", str(target)],
+            "analyze --graph": ["analyze", str(path), "--graph", str(target)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["map.json"]
+
     def test_results_match_in_memory(self, tmp_path, capsys):
         path = construct(tmp_path, "--p", "5", "--lambda", "2")
         capsys.readouterr()
@@ -278,6 +326,20 @@ class TestSweep:
         row = (out_dir / "summary.csv").read_text().splitlines()[1].split(",")
         assert row[:2] == ["3", "1029"]
         assert row[5].startswith("error: ")
+
+    def test_tiny_target_names_failing_root(self, tmp_path, capsys):
+        """h = 1e-200 needs d = 664, and the floating roots stop being maps at
+        the 33rd: the row names that root and d. The row of h = 0.5 in the
+        same sweep is the one it always was."""
+        out_dir = tmp_path / "tiny"
+        code = main(["sweep", "--target-entropy", "1e-200,0.5", "--out-dir", str(out_dir)])
+        assert code == 2
+        rows = (out_dir / "summary.csv").read_text().splitlines()[1:]
+        assert rows == [
+            "3,0,1.6487212707001282,0.500000,0.498911,consistent,17",
+            "3,664,2.149962751896532,,,error: square root 33 of d = 664 is not a valid "
+            "map: constant piece at index 1 is not supported,",
+        ]
 
     def test_target_entropy_inf_usage_error(self, tmp_path, capsys):
         out_dir = tmp_path / "inf"
@@ -548,7 +610,7 @@ class TestEngineEntryPoints:
     only by branches_of_iterate, an exact type check never counts laps, and
     exact lap counts build no branch. Floating mixing takes its images through
     PLMap.image; exact mixing steps on the engine's int keys, so an exact type
-    check reaches image through the covering graph of --graph."""
+    check reaches image through the covering graph of its census."""
 
     NAMES = ("branches_of_iterate", "periodic_points", "lap_growth", "image")
 
