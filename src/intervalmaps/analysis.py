@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .covering import CoveringGraph, build_covering_graph, primitive_cycle_census
@@ -248,11 +249,14 @@ def estimate_entropy(
 
 
 def _ls_slope(pts: List[Tuple[int, float]]) -> float:
+    """Least-squares slope. Floats are added left to right, as sum() did
+    before Python 3.12 compensated its rounding, so h is the same on every
+    Python."""
     n = len(pts)
     mean_x = sum(x for x, _ in pts) / n
-    mean_y = sum(y for _, y in pts) / n
-    num = sum((x - mean_x) * (y - mean_y) for x, y in pts)
-    den = sum((x - mean_x) ** 2 for x, _ in pts)
+    mean_y = reduce(add, (y for _, y in pts), 0.0) / n
+    num = reduce(add, ((x - mean_x) * (y - mean_y) for x, y in pts), 0.0)
+    den = reduce(add, ((x - mean_x) ** 2 for x, _ in pts), 0.0)
     return num / den
 
 
@@ -285,20 +289,16 @@ class MixingReport:
         }
 
 
-def _covers_domain(img: Interval, dom: Interval, exact: bool) -> bool:
-    if exact:
-        return img.lo == dom.lo and img.hi == dom.hi
-    return img.lo <= dom.lo + FLOAT_TOL and img.hi >= dom.hi - FLOAT_TOL
-
-
 def _key(a: Interval) -> Tuple[int, int, int, int]:
     """An interval with rational ends as the engine's image key."""
     return (a.lo.numerator, a.lo.denominator, a.hi.numerator, a.hi.denominator)
 
 
-def _first_cover(f: PLMap, seed: Interval, cap: int, known: dict) -> Optional[int]:
+def _first_cover(
+    f: PLMap, seed: Interval, cap: int, known: dict, exact: bool
+) -> Optional[int]:
     """The first n <= cap with f^n(seed) equal to the domain (within FLOAT_TOL
-    at each end in floating mode), cut short by known, a table of image ->
+    at each end unless exact), cut short by known, a table of image ->
     first cover time (math.inf: never). An image met at step n with time
     r gives n + r, None past cap. A new image enters known as inf, so a
     repeat within the trace, a cycle that never covers, gives None too; it
@@ -306,13 +306,13 @@ def _first_cover(f: PLMap, seed: Interval, cap: int, known: dict) -> Optional[in
     An exact trace iterates the engine's image step on int keys; a floating
     one takes PLMap.image on Intervals."""
     dom = f.domain
-    exact = f.is_exact and is_exact(seed.lo) and is_exact(seed.hi)
-    if _covers_domain(seed, dom, exact):
-        return 0
     if exact:
         image, cur, covers = f._engine.image, _key(seed), _key(dom).__eq__
     else:
-        image, cur, covers = f.image, seed, partial(_covers_domain, dom=dom, exact=False)
+        image, cur = f.image, seed
+        covers = partial(Interval.encloses, other=dom, slack=FLOAT_TOL)
+    if covers(cur):
+        return 0
     images: list = []
     for n in range(1, cap + 1):
         cur = image(cur)
@@ -387,12 +387,8 @@ def verify_mixing(
     if not exact:
         w = float(w)
     seeds = _exact_seeds(f.domain, w, grid) if exact else _float_seeds(f.domain, w, grid)
-    # image -> first cover time. Every trace of one call applies the same
-    # cover test and keys images alike: with a float width, only a seed
-    # clipped to the whole domain has exact ends, and it covers at once
-    # without images.
-    known: dict = {}
-    firsts = [_first_cover(f, seed, cap, known) for seed in seeds]
+    known: dict = {}  # image -> first cover time, shared by every trace
+    firsts = [_first_cover(f, seed, cap, known, exact) for seed in seeds]
     hits = [n for n in firsts if n is not None]
     return MixingReport(
         seed_width=w,

@@ -195,13 +195,18 @@ def document_for(params: ConstructionParams, rescale: bool = True) -> MapDocumen
 
 def write_text_atomic(path: str, text: str) -> None:
     """Whole-file atomic write (temp file in the same directory, then rename).
-    A failed write raises an OSError that names path, not the temp file."""
+    The file gets the mode a plain write would, 0o666 less the umask, where
+    mkstemp alone leaves 0o600. A failed write raises an OSError that names
+    path, not the temp file."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        umask = os.umask(0)  # the only way to read it is to set it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):

@@ -1,14 +1,12 @@
 """Continuous piecewise-linear self-maps of a compact interval.
 
 Evaluation and interval images are exact over rationals. Periodic points of f^q
-come from its affine branches: the intervals on which f^q is affine. One pass
-per map builds each iterate once and records, for every f^n it builds, the
-branch count and Fix(f^n) (in floating mode also the lap count). A one-slot
-cursor keeps the last iterate, so the pass goes on from it: periodic_points(q)
-and floating lap_growth(n) build only the iterates past the record, through
-branches_of_iterate, and a request behind it is a lookup that checks the cap
-against the recorded counts. Only an explicit branches_of_iterate(q) behind
-the cursor restarts from f^1. Under any call order, the first f^n over the
+come from its affine branches: the intervals on which f^q is affine. One
+forward pass per map builds f^1, f^2, ... once each and records, for every
+f^n, the branch count and Fix(f^n) (in floating mode also the lap count).
+periodic_points(q) and floating lap_growth(n) refine past the record through
+branches_of_iterate, and read a q already recorded after checking the cap
+against the recorded counts. Under any call order, the first f^n over the
 branch cap raises BranchBudgetError(cap, n - 1).
 
 Lap counts of iterates (hence the entropy estimate) need no branches in
@@ -45,8 +43,8 @@ where its image crosses a breakpoint, and reads least periods as return times
 within FLOAT_TOL. No itinerary is stored; an error that names one recomputes
 it from a point's orbit.
 
-Maps are immutable and results are sorted and deterministic; the cursor and
-the record are caches that never change what a call returns.
+Maps are immutable and results are sorted and deterministic; the record is a
+cache that never changes what a call returns.
 """
 
 from __future__ import annotations
@@ -276,7 +274,8 @@ class PLMap:
 
     def branches_of_iterate(self, q: int, branch_cap: int = DEFAULT_BRANCH_CAP):
         """Affine branches of f^q in domain order, as one iterate record of
-        parallel lists; its len() is the branch count."""
+        parallel lists; its len() is the branch count. The pass only goes
+        forward, so a q behind its last iterate raises ValueError."""
         if q < 1:
             raise ValueError("q must be >= 1")
         return self._engine.advance(q, branch_cap)
@@ -536,13 +535,12 @@ class _FloatIterate:
 
 
 class _Engine:
-    """The pass over the iterates f^1, f^2, ... of one map.
+    """The forward pass over the iterates f^1, f^2, ... of one map.
 
-    A one-slot cursor keeps the last iterate built: a request for f^q resumes
-    from it, or restarts from f^1 when q is behind it. The branch count and
-    Fix(f^n) of every iterate built are recorded, so the budget check sees all
-    of f^1..f^q under any call order and fixed points are solved once per
-    iterate. Subclasses supply the arithmetic.
+    It records the branch count and Fix(f^n) of every iterate, in order, and
+    keeps the last one, f^len(counts), to refine the next from. So the budget
+    check sees all of f^1..f^q and fixed points are solved once per iterate.
+    Subclasses supply the arithmetic.
     """
 
     def __init__(self) -> None:
@@ -550,30 +548,31 @@ class _Engine:
         # fixed[n - 1]: Fix(f^n) as fixed_points returns it, either the points
         # or the _IdentityBranch that periodic_points(n) reports
         self.fixed: list = []
-        self.last = None
+        self.last = None  # f^len(counts); record sets it
 
     def advance(self, q: int, cap: int):
-        """f^q, built from the cursor (or from f^1 when q is behind it). The
-        first n <= q whose branch count exceeds cap raises BranchBudgetError."""
-        _check_budget(self.counts[:q], cap)
+        """f^q for a q not behind the pass, refined forward from the last
+        recorded iterate (f^1 is recorded on the first call). The first
+        n <= q whose branch count exceeds cap raises BranchBudgetError."""
+        if q < len(self.counts):
+            raise ValueError(
+                f"f^{q} is behind the branch pass, which is at f^{len(self.counts)}"
+            )
+        if not self.counts:
+            self.record(self.first())
+        _check_budget(self.counts, cap)
         it = self.last
-        if it is None or it.n > q:
-            it = self.first()
-            if len(it) > cap:
-                raise BranchBudgetError(cap, 0)
-        while True:
-            if it.n > len(self.counts):
-                self.record(it)
-            self.last = it
-            if it.n == q:
-                return it
+        while it.n < q:
             it = self.refine(it, cap)
+            self.record(it)
+        return it
 
     def record(self, it) -> None:
-        """Keep the branch count and fixed points of an iterate built for the
-        first time."""
+        """Keep the branch count and fixed points of the next iterate, and
+        make it the last."""
         self.counts.append(len(it))
         self.fixed.append(self.fixed_points(it))
+        self.last = it
 
 
 class _ExactEngine(_Engine):
@@ -686,12 +685,10 @@ class _ExactEngine(_Engine):
             base = (b * L - c * u) * Ln
             new_xs += [base + c * x for x in ends]
             new_ys += values if R == 1 else [y * R for y in values]
-            if len(new_xs) > cap:
+            if len(new_xs) > cap:  # one left end per branch so far
                 raise BranchBudgetError(cap, n)
         new_xs.append(B[-1] * Ln * L)
         new_ys.append(at_breakpoint(B[-1]))
-        if len(new_xs) - 1 > cap:
-            raise BranchBudgetError(cap, n)
         return _ExactIterate(n + 1, new_xs, new_ys)
 
     def fixed_points(self, it: _ExactIterate) -> List[Tuple[int, int]] | _IdentityBranch:

@@ -2,8 +2,10 @@ import importlib
 import inspect
 import json
 import math
+import os
 import re
 import runpy
+import stat
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from intervalmaps.cli import _build_parser, main
 from intervalmaps.document import MapDocument, load_document
 
 F = Fraction
+DATA = Path(__file__).parent / "data"
 
 
 def construct(tmp_path, *extra):
@@ -248,6 +251,37 @@ class TestAnalyze:
         code = main(["analyze", str(path), "--type", "13", "--branch-cap", "50"])
         assert code == 3
 
+    def test_entropy_budget_exits_three(self, capsys):
+        code = main(["analyze", str(DATA / "map_p5_d0_lam2.json"),
+                     "--entropy", "12", "--branch-cap", "10"])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "budget exceeded: branch budget 10 exceeded; largest completed iterate n=1\n"
+
+    def test_mixing_refuted_exits_two(self, tmp_path, capsys):
+        """The square root of f32 is not mixing: a seed in the left third
+        never covers the domain."""
+        path = construct(tmp_path, "--p", "3", "--d", "1", "--lambda", "2")
+        capsys.readouterr()
+        assert main(["analyze", str(path), "--mixing", "1/64", "8", "100"]) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out)["mixing"]["all_covered"] is False
+        assert err == ("refuted: seed [7/128, 9/128] did not cover the domain "
+                       "within 100 iterations\n")
+
+    def test_missing_period_exits_two(self, tmp_path, capsys):
+        """f52 claimed as type 3 lacks period 3."""
+        obj = json.loads((DATA / "map_p5_d0_lam2.json").read_text())
+        obj["params"]["p"] = 3
+        obj["markers"] = None
+        path = tmp_path / "claims3.json"
+        path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        assert main(["analyze", str(path), "--type", "6"]) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out)["type"]["verdict"] == "refuted"
+        assert err == "refuted: period 3 is prescribed by type 3 but missing\n"
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["analyze", "/no/such/file.json"]) == 1
 
@@ -443,6 +477,22 @@ class TestSweep:
         assert any("error:" in r for r in rows)
         assert any("consistent" in r for r in rows)
 
+    def test_mixing_failure_marks_row(self, tmp_path, capsys):
+        out_dir = tmp_path / "cells"
+        code = main(["sweep", "--p", "3", "--lambda", "2", "--mixing-cap", "1",
+                     "--out-dir", str(out_dir)])
+        assert code == 2
+        rows = (out_dir / "summary.csv").read_text().splitlines()[1:]
+        assert rows == ["3,0,2,0.693147,0.690436,consistent;mixing-failed,"]
+
+    def test_quoted_fields(self, tmp_path, capsys):
+        """A slope text with a quote is quoted in its own field and in the
+        error field that repeats it."""
+        out_dir = tmp_path / "cells"
+        assert main(["sweep", "--lambda", 'a"b', "--out-dir", str(out_dir)]) == 2
+        rows = (out_dir / "summary.csv").read_text().splitlines()[1:]
+        assert rows == ['3,0,"a""b",,,"error: could not convert string to float: \'a""b\'",']
+
 
 class TestPlot:
     def test_deterministic_svg(self, tmp_path, capsys):
@@ -467,6 +517,34 @@ class TestPlot:
 
         svg = render_map_svg(PLMap((F(0), F(1)), (F(1), F(0))))
         assert "<polyline" in svg
+
+
+class TestFileModes:
+    """Every file the CLI writes gets 0o666 less the umask, as a plain write
+    would, though it is written to a temp file first."""
+
+    @pytest.fixture(params=[(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def mode(self, request):
+        umask, mode = request.param
+        old = os.umask(umask)
+        yield mode
+        os.umask(old)
+
+    def test_outputs(self, tmp_path, capsys, mode):
+        doc, dot, csv, svg, cells = (
+            str(tmp_path / name) for name in ("m.json", "g.dot", "l.csv", "m.svg", "cells")
+        )
+        for argv in (
+            ["construct", "--p", "3", "--lambda", "2", "--out", doc],
+            ["analyze", doc, "--entropy", "4", "--csv", csv, "--graph", dot],
+            ["sweep", "--p", "3", "--lambda", "2", "--entropy-n", "4", "--type-q", "3",
+             "--mixing-grid", "2", "--out-dir", cells],
+            ["plot", doc, "--out", svg],
+        ):
+            assert main(argv) == 0
+        written = [doc, dot, csv, svg, *(str(p) for p in Path(cells).iterdir())]
+        assert len(written) == 6  # sweep wrote summary.csv and one document
+        assert {p: stat.S_IMODE(os.stat(p).st_mode) for p in written} == dict.fromkeys(written, mode)
 
 
 class TestUsage:

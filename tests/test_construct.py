@@ -18,7 +18,8 @@ from intervalmaps import (
     square_root,
     stefan_map,
 )
-from intervalmaps.document import document_for
+from intervalmaps.document import MapDocument, document_for
+from intervalmaps.kernel import FLOAT_TOL
 from oracles import iterate
 
 F = Fraction
@@ -183,6 +184,18 @@ class TestBuild:
         built = odd_type_map(5, F(5, 2))
         names = set(built.markers.intervals)
         assert "I1" in names and "I4" in names
+
+    def test_float_cap_absorption(self):
+        """At this slope the float cap tent after J1 is 1.09e-13 wide, within
+        FLOAT_TOL: J1 takes t as its right edge and no K is made."""
+        slope = 3.3027756377323247
+        built = odd_type_map(3, slope)
+        intervals, t = built.markers.intervals, built.markers.t
+        assert list(intervals) == ["I1", "I2", "J1"]
+        assert intervals["J1"].hi == t
+        assert abs(built.map.eval(t)) <= FLOAT_TOL
+        text = document_for(ConstructionParams(3, 0, slope)).to_json()
+        assert MapDocument.from_json(text).to_json() == text
 
 
 class TestSquareRoot:

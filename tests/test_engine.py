@@ -32,7 +32,7 @@ from intervalmaps import (
     square_root,
 )
 from intervalmaps.kernel import FLOAT_TOL
-from intervalmaps.plmap import _ExactIterate, _FloatEngine, _FloatIterate
+from intervalmaps.plmap import _ExactEngine, _ExactIterate, _FloatEngine, _FloatIterate
 from oracles import ref_eval, ref_image
 
 F = Fraction
@@ -103,6 +103,12 @@ def fresh(m):
     return PLMap(m.breakpoints, m.values)
 
 
+def assert_pass_at_record(m):
+    """The pass's last iterate is the last one it recorded."""
+    e = m._engine
+    assert e.last.n == len(e.counts) == len(e.fixed)
+
+
 @pytest.mark.parametrize("name", MAP_NAMES)
 def test_periodic_points_match_reference(maps, name):
     m = fresh(maps[name])
@@ -127,11 +133,13 @@ class TestCallOrder:
         m = fresh(maps["f52"])
         for q in range(9, 0, -1):
             assert m.periodic_points(q) == expected[0][q]
+        assert_pass_at_record(m)
 
     def test_repeated_q(self, maps, expected):
         m = fresh(maps["f52"])
         for q in (6, 6, 7, 7):
             assert m.periodic_points(q) == expected[0][q]
+        assert_pass_at_record(m)
 
     def test_lap_growth_between_periodic_points(self, maps, expected):
         m = fresh(maps["f52"])
@@ -142,6 +150,7 @@ class TestCallOrder:
         for q in range(5, 10):
             assert m.periodic_points(q) == points[q]
         assert m.lap_growth(7) == laps[:7]
+        assert_pass_at_record(m)
 
     def test_small_cap_then_default(self, maps, expected):
         m = fresh(maps["f52"])
@@ -153,6 +162,36 @@ class TestCallOrder:
             m.lap_growth(12, branch_cap=100)
         assert m.lap_growth(12) == laps
         assert m.periodic_points(4) == points[4]
+        assert_pass_at_record(m)
+
+    def test_behind_the_pass(self, maps, expected):
+        """The pass only goes forward: an iterate behind it is refused before
+        any cap check, and its fixed points are still read from the record."""
+        m = fresh(maps["f52"])
+        assert m.periodic_points(5) == expected[0][5]
+        with pytest.raises(ValueError, match=r"^f\^2 is behind the branch pass, which is at f\^5$"):
+            m.branches_of_iterate(2, branch_cap=1)
+        assert m.periodic_points(2) == expected[0][2]
+        assert m._engine.last.n == 5
+        assert_pass_at_record(m)
+
+    def test_first_iterate_built_once(self, maps, expected, monkeypatch):
+        """Under every call order above, and after a refused request behind
+        the pass, the pass has built f^1 once."""
+        calls = []
+        first = _ExactEngine.first
+        monkeypatch.setattr(_ExactEngine, "first", lambda e: calls.append(e) or first(e))
+        m = fresh(maps["f52"])
+        points, laps = expected
+        for q in (9, 1, 6, 6, 3, 9):
+            assert m.periodic_points(q) == points[q]
+        assert m.lap_growth(12) == laps
+        with pytest.raises(BranchBudgetError):
+            m.periodic_points(9, branch_cap=100)
+        assert m.branches_of_iterate(9).n == 9
+        with pytest.raises(ValueError):
+            m.branches_of_iterate(2)
+        assert calls == [m._engine]
 
 
 # Recorded from the per-q Fraction engine this one replaced: f32 has 30
@@ -171,6 +210,20 @@ def test_budget_error_prefix(f32, cap, prelude):
         assert err.value.completed_n == 4
         assert str(err.value) == f"branch budget {cap} exceeded; largest completed iterate n=4"
     assert m.lap_growth(4, branch_cap=cap) == [4, 7, 17, 30]
+    assert m._engine.last.n == (6 if prelude == "periodic points" else 4)
+    assert_pass_at_record(m)
+
+
+def test_budget_error_at_first_iterate(f32):
+    """f32 has 4 branches, so a cap of 3 stops before f^1 in every call; the
+    pass has recorded f^1 all the same and reads it under a larger cap."""
+    m = fresh(f32.map)
+    for call in (m.lap_growth, m.periodic_points, m.branches_of_iterate):
+        with pytest.raises(BranchBudgetError) as err:
+            call(3, branch_cap=3)
+        assert str(err.value) == "branch budget 3 exceeded; largest completed iterate n=0"
+    assert m.periodic_points(1) == [(F(1, 3), 1)]
+    assert_pass_at_record(m)
 
 
 def test_branch_counts(f32):
