@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Dict, List, Tuple
 
 from .covering import check_partition
@@ -153,6 +155,8 @@ def orbit_and_t(p: int, slope) -> Tuple[Tuple[Scalar, ...], Scalar]:
     The returned values are re-verified against the defining relations
     x_{i+1} = 1 - s*x_i and x_0 = s*(1 - t) and against the required ordering;
     t < 1/s (beyond FLOAT_TOL when floating) means the slope is below minimal.
+    Floats are added left to right, as sum() did before Python 3.12
+    compensated its rounding, so the orbit is the same on every Python.
     """
     _require_odd(p)
     s = as_scalar(slope)
@@ -161,12 +165,12 @@ def orbit_and_t(p: int, slope) -> Tuple[Tuple[Scalar, ...], Scalar]:
     one: Scalar = Fraction(1) if exact else 1.0
     xs: List[Scalar] = [one] * p
     for i in range(p - 3):  # i = 0 .. p-4
-        acc = sum((-s) ** j for j in range(p - i - 2))
+        acc = reduce(add, ((-s) ** j for j in range(p - i - 2)), 0)
         xs[i] = ((-1) ** i) * acc / s ** (p - i - 2)
     xs[p - 3] = one / s
     xs[p - 2] = one - one
     xs[p - 1] = one
-    t = (s ** (p - 1) - sum((-s) ** j for j in range(p - 2))) / s ** (p - 1)
+    t = (s ** (p - 1) - reduce(add, ((-s) ** j for j in range(p - 2)), 0)) / s ** (p - 1)
 
     if t - xs[p - 3] < -tol:
         raise SlopeBelowMinimumError(p, s)

@@ -39,9 +39,12 @@ numerators: exact mixing traces and return times step on them directly, and
 image wraps the same step. Every division on the lattice is exact, and a
 remainder raises ArithmeticError.
 Floating mode carries each branch's slope and offset in binary64, cuts it
-where its image crosses a breakpoint, and reads least periods as return times
-within FLOAT_TOL. No itinerary is stored; an error that names one recomputes
-it from a point's orbit.
+where its image crosses a breakpoint, and records Fix(f^n) as an array('d').
+Least periods are return times within FLOAT_TOL from one walk loop over all
+of Fix(f^q), _returns, which return_time also runs for a single point:
+each step finds its piece's (breakpoint, value, slope) in one table whose last
+entry is the domain's right end. No itinerary is stored; an error that names
+one recomputes it from a point's orbit.
 
 Maps are immutable and results are sorted and deterministic; the record is a
 cache that never changes what a call returns.
@@ -50,6 +53,7 @@ cache that never changes what a call returns.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -434,12 +438,10 @@ class PLMap:
         if self.is_exact:
             periods = engine.least_periods(points, q)
             return [(_fraction(n, d), j) for (n, d), j in zip(points, periods)]
-        out = []
-        for x in points:
-            j = self.return_time(x, q)
-            if j is None:
-                raise OrbitNotClosedError(f"point {x!r} failed to close up after {q} steps")
-            out.append((x, j))
+        out = self._returns(points, q)
+        if len(out) < len(points):
+            x = points[len(out)]
+            raise OrbitNotClosedError(f"point {x!r} failed to close up after {q} steps")
         return out
 
     def _itinerary(self, x: Scalar, q: int) -> Tuple[int, ...]:
@@ -453,9 +455,8 @@ class PLMap:
     def return_time(self, x: Scalar, n: int) -> Optional[int]:
         """The least j <= n with f^j(x) = x (within the map's tol), or None.
 
-        Each step is eval inlined with the same expressions, clamping only a
-        point outside the domain. A rational point of an exact map walks the
-        engine's point step on reduced int pairs instead."""
+        A rational point of an exact map walks the engine's point step on
+        reduced int pairs; any other point takes the walk of _returns."""
         x = as_scalar(x)
         if type(x) is Fraction and self.is_exact:
             x = self._clamp(x)  # a point outside the domain raises
@@ -466,23 +467,41 @@ class PLMap:
                 if y == start:
                     return j
             return None
+        out = self._returns((x,), n)
+        return out[0][1] if out else None
+
+    @cached_property
+    def _pieces(self) -> List[Tuple[Scalar, Scalar, Optional[Scalar]]]:
+        """(b_k, v_k, s_k) for each piece k, then the right end with its value
+        and no slope: the entry at bisect_right(breakpoints, y) - 1 for every
+        y in the domain."""
+        bps, vals = self.breakpoints, self.values
+        return [*zip(bps, vals, self.slopes), (bps[-1], vals[-1], None)]
+
+    def _returns(self, xs, n: int) -> List[Tuple[Scalar, int]]:
+        """(x, return_time(x, n)) for the points of xs in order, up to the
+        first that does not return within n steps: a list shorter than xs
+        ends before that point. One walk loop: each step is eval with the same
+        expressions, clamping only a point outside the domain, and y == b
+        covers a breakpoint and the domain's right end."""
         tol = self.tol
-        bps, vals, slopes = self.breakpoints, self.values, self.slopes
-        lo, hi, last = bps[0], bps[-1], len(bps) - 1
-        y = x
-        for j in range(1, n + 1):
-            if not lo <= y <= hi:
-                y = self._clamp(y)
-            k = bisect_right(bps, y) - 1
-            if k >= last:
-                y = vals[-1]
-            elif y == bps[k]:
-                y = vals[k]
+        bps, pieces, clamp = self.breakpoints, self._pieces, self._clamp
+        lo, hi = bps[0], bps[-1]
+        steps = range(1, n + 1)
+        out: List[Tuple[Scalar, int]] = []
+        for x in xs:
+            y = x
+            for j in steps:
+                if not lo <= y <= hi:
+                    y = clamp(y)
+                b, v, s = pieces[bisect_right(bps, y) - 1]
+                y = v if y == b else v + (y - b) * s
+                if abs(y - x) <= tol:
+                    out.append((x, j))
+                    break
             else:
-                y = vals[k] + (y - bps[k]) * slopes[k]
-            if abs(y - x) <= tol:
-                return j
-        return None
+                break
+        return out
 
     # -- conjugacy helpers -------------------------------------------------------
 
@@ -735,12 +754,22 @@ class _FloatEngine(_Engine):
 
     Lap counts and sweep rows depend on every rounding here, so the cuts at
     (b - offset)/slope, the midpoint piece lookup and the collapse of empty
-    fragments must keep their exact expressions (tests/test_engine.py pins
-    the results)."""
+    fragments must keep their exact expressions: tests/test_float_bits.py
+    checks every iterate and Fix(f^n) bit for bit against the plain loops of
+    tests/oracles.py, and tests/test_engine.py pins the results. Only
+    interpreter work is saved: t*b_j is made once per map, the midpoint's piece
+    is one bisection over the interior breakpoints, a branch whose image holds
+    no breakpoint is one fragment, and Fix(f^n) is one comprehension."""
 
     def __init__(self, f: "PLMap"):
         super().__init__()
-        self.bps, self.vals, self.slopes = f.breakpoints, f.values, f.slopes
+        bps, slopes = f.breakpoints, f.slopes
+        self.bps, self.vals, self.slopes = bps, f.values, slopes
+        # the midpoint's piece, bisect_right(bps, m) - 1 clamped to the pieces,
+        # is bisect_right over the interior breakpoints
+        self.inner = bps[1:-1]
+        # t*bps[j] is the same float inside t*o + vals[j] - t*bps[j]
+        self.tb = [t * b for t, b in zip(slopes, bps)]
         self.laps: List[int] = []
 
     def record(self, it: _FloatIterate) -> None:
@@ -754,69 +783,66 @@ class _FloatEngine(_Engine):
 
     def refine(self, it: _FloatIterate, cap: int) -> _FloatIterate:
         """f^(n+1) from f^n: cut each branch at the preimages of breakpoints
-        interior to its image, then compose with the piece of f each fragment's
-        midpoint lands in."""
-        bps, vals, slopes = self.bps, self.vals, self.slopes
-        top = len(bps) - 2  # the last piece index
+        interior to its image, then compose each fragment with the piece of f
+        its midpoint's image lands in. A branch whose image holds no
+        breakpoint is one fragment; a fragment that collapses in floats is
+        dropped."""
+        bps, inner, vals, slopes, tb = self.bps, self.inner, self.vals, self.slopes, self.tb
         lo: list = []
         hi: list = []
         slope: list = []
         offset: list = []
+        lo_add, hi_add, slope_add, offset_add = lo.append, hi.append, slope.append, offset.append
         for a, b, s, o in zip(it.lo, it.hi, it.slope, it.offset):
             c, d = s * a + o, s * b + o
             if not c <= d:
                 c, d = d, c
             first, last = bisect_right(bps, c), bisect_left(bps, d)
-            if first >= last:
-                cuts = (a, b)
-            else:
+            if first < last:
                 idx = range(first, last)
                 if s < 0:
                     idx = reversed(idx)
-                cuts = [a]
-                cuts.extend((bps[i] - o) / s for i in idx)
-                cuts.append(b)
-            u = cuts[0]
-            for v in cuts[1:]:
-                if not u < v:  # float collapse; nothing to keep
-                    u = v
-                    continue
-                # _piece_index of the image of the midpoint, inlined
-                j = bisect_right(bps, s * ((u + v) / 2) + o) - 1
-                if j < 0:
-                    j = 0
-                elif j > top:
-                    j = top
+                for i in idx:
+                    v = (bps[i] - o) / s
+                    if a < v:
+                        j = bisect_right(inner, s * ((a + v) / 2) + o)
+                        t = slopes[j]
+                        lo_add(a)
+                        hi_add(v)
+                        slope_add(t * s)
+                        offset_add(t * o + vals[j] - tb[j])
+                    a = v
+            if a < b:  # the last fragment, or the whole branch
+                j = bisect_right(inner, s * ((a + b) / 2) + o)
                 t = slopes[j]
-                lo.append(u)
-                hi.append(v)
-                slope.append(t * s)
-                offset.append(t * o + vals[j] - t * bps[j])
-                u = v
+                lo_add(a)
+                hi_add(b)
+                slope_add(t * s)
+                offset_add(t * o + vals[j] - tb[j])
             if len(lo) > cap:
                 raise BranchBudgetError(cap, it.n)
         return _FloatIterate(it.n + 1, lo, hi, slope, offset)
 
-    def fixed_points(self, it: _FloatIterate) -> List[float] | _IdentityBranch:
+    def fixed_points(self, it: _FloatIterate) -> array | _IdentityBranch:
         """Fix(f^n) sorted, each branch solved from its affine formula and
         duplicates within MERGE_TOL merged, or the first branch on which f^n
-        is the identity as an _IdentityBranch."""
-        raw = []
-        for a, b, s, o in zip(it.lo, it.hi, it.slope, it.offset):
-            if s == 1:
-                if o == 0:
+        is the identity as an _IdentityBranch. The points are kept as an
+        array('d'), 8 bytes a point for the life of the map."""
+        branches = zip(it.lo, it.hi, it.slope, it.offset)
+        if 1 in it.slope:  # identity or translation branches
+            for a, b, s, o in zip(it.lo, it.hi, it.slope, it.offset):
+                if s == 1 and o == 0:
                     return _IdentityBranch(a, b)
-                continue  # translation: no fixed point on this branch
-            x = o / (1 - s)
-            if a - MERGE_TOL <= x <= b + MERGE_TOL:
-                raw.append(x)
-        raw.sort()
-        merged: list = []
-        for x in raw:
-            if merged and abs(x - merged[-1]) <= MERGE_TOL:
-                continue
-            merged.append(x)
-        return merged
+            # a translation has no fixed point
+            branches = (branch for branch in branches if branch[2] != 1)
+        tol = MERGE_TOL
+        raw = sorted(
+            x for a, b, s, o in branches for x in (o / (1 - s),) if a - tol <= x <= b + tol
+        )
+        # raw ascends, so a point within tol of the last one kept is at most
+        # tol above it
+        kept = -math.inf
+        return array("d", [kept := x for x in raw if x - kept > tol])
 
 
 def _piece_index(bps, x: Scalar) -> int:

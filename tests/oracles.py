@@ -6,14 +6,21 @@ breakpoints and values; mixing seeds are laid out in Fraction arithmetic and
 their traces run to the cap; cycles are listed one by one by depth-first
 search. Only a floating mixing trace
 evaluates through PLMap.eval, for its clamp of round-off at the domain's ends.
+
+The floating branch pass is the exception: its results depend on every
+rounding, so its reference is the plain loop it was tuned from, kept here
+statement for statement (float_refine, float_fixed_points and the per-point
+float_return_time walk), which the engine must match bit for bit.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
-from intervalmaps import Interval
+from intervalmaps import BranchBudgetError, Interval, OrbitNotClosedError
 from intervalmaps.kernel import FLOAT_TOL
+from intervalmaps.plmap import MERGE_TOL, _IdentityBranch
 
 
 def ref_eval(m, x):
@@ -128,3 +135,143 @@ def _is_primitive(seq):
         if n % d == 0 and seq == seq[:d] * (n // d):
             return False
     return True
+
+
+# ---------------------------------------------------------------- floating pass
+
+
+class FloatIterate(NamedTuple):
+    """The branches of f^n: x -> slope[k]*x + offset[k] on [lo[k], hi[k]]."""
+
+    n: int
+    lo: list
+    hi: list
+    slope: list
+    offset: list
+
+
+def float_first(m):
+    """f^1 as the floating pass starts it."""
+    bps, vals, slopes = m.breakpoints, m.values, m.slopes
+    offsets = [vals[j] - slopes[j] * bps[j] for j in range(len(slopes))]
+    return FloatIterate(1, list(bps[:-1]), list(bps[1:]), list(slopes), offsets)
+
+
+def float_refine(m, it, cap):
+    """f^(n+1) from f^n: cut each branch at the preimages of breakpoints
+    interior to its image, then compose with the piece of f each fragment's
+    midpoint lands in."""
+    bps, vals, slopes = m.breakpoints, m.values, m.slopes
+    top = len(bps) - 2  # the last piece index
+    lo: list = []
+    hi: list = []
+    slope: list = []
+    offset: list = []
+    for a, b, s, o in zip(it.lo, it.hi, it.slope, it.offset):
+        c, d = s * a + o, s * b + o
+        if not c <= d:
+            c, d = d, c
+        first, last = bisect_right(bps, c), bisect_left(bps, d)
+        if first >= last:
+            cuts = (a, b)
+        else:
+            idx = range(first, last)
+            if s < 0:
+                idx = reversed(idx)
+            cuts = [a]
+            cuts.extend((bps[i] - o) / s for i in idx)
+            cuts.append(b)
+        u = cuts[0]
+        for v in cuts[1:]:
+            if not u < v:  # float collapse; nothing to keep
+                u = v
+                continue
+            j = bisect_right(bps, s * ((u + v) / 2) + o) - 1
+            if j < 0:
+                j = 0
+            elif j > top:
+                j = top
+            t = slopes[j]
+            lo.append(u)
+            hi.append(v)
+            slope.append(t * s)
+            offset.append(t * o + vals[j] - t * bps[j])
+            u = v
+        if len(lo) > cap:
+            raise BranchBudgetError(cap, it.n)
+    return FloatIterate(it.n + 1, lo, hi, slope, offset)
+
+
+def float_fixed_points(it):
+    """Fix(f^n) sorted, each branch solved from its affine formula and
+    duplicates within MERGE_TOL merged, or the first branch on which f^n is
+    the identity as an _IdentityBranch."""
+    raw = []
+    for a, b, s, o in zip(it.lo, it.hi, it.slope, it.offset):
+        if s == 1:
+            if o == 0:
+                return _IdentityBranch(a, b)
+            continue  # translation: no fixed point on this branch
+        x = o / (1 - s)
+        if a - MERGE_TOL <= x <= b + MERGE_TOL:
+            raw.append(x)
+    raw.sort()
+    merged: list = []
+    for x in raw:
+        if merged and abs(x - merged[-1]) <= MERGE_TOL:
+            continue
+        merged.append(x)
+    return merged
+
+
+def float_return_time(m, x, n):
+    """The least j <= n with f^j(x) within the map's tol of x, or None: eval
+    inlined, clamping only a point outside the domain."""
+    tol = m.tol
+    bps, vals, slopes = m.breakpoints, m.values, m.slopes
+    lo, hi, last = bps[0], bps[-1], len(bps) - 1
+    y = x
+    for j in range(1, n + 1):
+        if not lo <= y <= hi:
+            y = m._clamp(y)
+        k = bisect_right(bps, y) - 1
+        if k >= last:
+            y = vals[-1]
+        elif y == bps[k]:
+            y = vals[k]
+        else:
+            y = vals[k] + (y - bps[k]) * slopes[k]
+        if abs(y - x) <= tol:
+            return j
+    return None
+
+
+def float_periodic_points(m, points, q):
+    """Each of the fixed points of f^q with its return time; the first that
+    does not return raises OrbitNotClosedError."""
+    out = []
+    for x in points:
+        j = float_return_time(m, x, q)
+        if j is None:
+            raise OrbitNotClosedError(f"point {x!r} failed to close up after {q} steps")
+        out.append((x, j))
+    return out
+
+
+def left_to_right_orbit_and_t(p, s):
+    """orbit_and_t's formulas with every sum added left to right from 0."""
+
+    def total(terms):
+        acc = 0
+        for term in terms:
+            acc = acc + term
+        return acc
+
+    one = 1.0 if type(s) is float else Fraction(1)
+    xs = [one] * p
+    for i in range(p - 3):
+        xs[i] = ((-1) ** i) * total((-s) ** j for j in range(p - i - 2)) / s ** (p - i - 2)
+    xs[p - 3] = one / s
+    xs[p - 2] = one - one
+    t = (s ** (p - 1) - total((-s) ** j for j in range(p - 2))) / s ** (p - 1)
+    return tuple(xs), t

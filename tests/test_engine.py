@@ -32,7 +32,13 @@ from intervalmaps import (
     square_root,
 )
 from intervalmaps.kernel import FLOAT_TOL
-from intervalmaps.plmap import _ExactEngine, _ExactIterate, _FloatEngine, _FloatIterate
+from intervalmaps.plmap import (
+    _ExactEngine,
+    _ExactIterate,
+    _FloatEngine,
+    _FloatIterate,
+    _IdentityBranch,
+)
 from oracles import ref_eval, ref_image
 
 F = Fraction
@@ -574,7 +580,7 @@ def test_recorded_identity_keeps_no_iterate():
     record keeps no iterate alive for the life of the map."""
     m = PLMap((0.0, 1.0), (1.0, 0.0))
     m.lap_growth(6)
-    hits = [fix for fix in m._engine.fixed if not isinstance(fix, list)]
+    hits = [fix for fix in m._engine.fixed if isinstance(fix, _IdentityBranch)]
     assert len(hits) == 3  # f^2, f^4, f^6
     seen, stack = set(), [m._engine.fixed]
     while stack:
@@ -603,7 +609,7 @@ def float_maps_and_points(draw):
     assume(all(a != b for a, b in zip(values, values[1:])))
     m = PLMap((0.0, *sorted(inner), 1.0), tuple(values))
     m.lap_growth(4)
-    fixed = [x for fix in m._engine.fixed if isinstance(fix, list) for x in fix]
+    fixed = [x for fix in m._engine.fixed if not isinstance(fix, _IdentityBranch) for x in fix]
     points = [*m.breakpoints, *m.values, *fixed, -draw(NEAR), 1 + draw(NEAR),
               *draw(st.lists(UNIT_FLOAT, max_size=5))]
     return m, points
