@@ -110,9 +110,6 @@ def verify_type(
             if lp == q:
                 present[q] = x
                 break
-    for q, x in present.items():
-        if f.return_time(x, q) != q:
-            raise RuntimeError(f"internal: witness {x!r} does not have least period {q}")
 
     expected = expected_period_set(claimed, q_max)
     expected_seen = {m for m in expected if m <= checked}

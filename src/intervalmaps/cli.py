@@ -1,7 +1,10 @@
 """Command-line front end: construct maps, certify them, sweep grids, plot.
 
 Exit codes: 0 success, 1 usage or I/O error, 2 certification refuted,
-3 budget exceeded (inconclusive).
+3 budget exceeded (inconclusive). analyze and each sweep cell certify through
+_certify, which gives 2 for a refuted type or a seed that never covers and 3
+for an inconclusive type, the larger when both; an error row counts 2, and
+sweep exits with its worst cell's code.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REFUTED = 2
 EXIT_BUDGET = 3
+_VERDICT_EXIT = {"consistent": EXIT_OK, "refuted": EXIT_REFUTED, "inconclusive": EXIT_BUDGET}
 
 
 class _UsageError(Exception):
@@ -219,24 +223,37 @@ def _mixing_args(texts: List[str], p: int) -> tuple:
     return (parse_slope_text(width_text, p), *counts)
 
 
-def cmd_analyze(args) -> int:
-    cap = args.branch_cap
-    doc = load_document(args.path)
-    params = doc.params
-    m = doc.map
-    partition = doc.markers.partition() if doc.markers else None
-    report: dict = {"path": args.path, "type_claim": params.type_value}
-    worst = EXIT_OK
+def _certify(doc, entropy_n, type_q, mixing, cap) -> tuple:
+    """The EntropyEstimate, TypeReport and MixingReport asked for, None for
+    each not asked, and the exit code of their verdicts. mixing is (width,
+    grid, cap) or None; the type check gets the markers' partition if any."""
+    m, params = doc.map, doc.params
+    est = tr = mr = None
+    code = EXIT_OK
+    if entropy_n is not None:
+        est = estimate_entropy(m, entropy_n, target=params.target_entropy, branch_cap=cap)
+    if type_q is not None:
+        partition = doc.markers.partition() if doc.markers else None
+        tr = verify_type(m, params.type_value, type_q, partition=partition, branch_cap=cap)
+        code = _VERDICT_EXIT[tr.verdict]
+    if mixing is not None:
+        mr = verify_mixing(m, *mixing)
+        if not mr.all_covered:
+            code = max(code, EXIT_REFUTED)
+    return est, tr, mr, code
 
+
+def cmd_analyze(args) -> int:
+    doc = load_document(args.path)
     if args.csv_path is not None and args.entropy is None:
         raise _UsageError("--csv requires --entropy")
-    if args.graph is not None and partition is None:
+    if args.graph is not None and doc.markers is None:
         raise _UsageError("--graph needs a document with interval markers (d = 0)")
-    if args.mixing is not None:
-        width, grid, mixing_cap = _mixing_args(args.mixing, params.p)
+    mixing = None if args.mixing is None else _mixing_args(args.mixing, doc.params.p)
+    est, tr, mr, code = _certify(doc, args.entropy, args.type_q, mixing, args.branch_cap)
+    report: dict = {"path": args.path, "type_claim": doc.params.type_value}
 
-    if args.entropy is not None:
-        est = estimate_entropy(m, args.entropy, target=params.target_entropy, branch_cap=cap)
+    if est is not None:
         report["entropy"] = est.as_dict()
         if args.csv_path is not None:
             lines = ["n,lap_count,log_ratio"]
@@ -245,34 +262,24 @@ def cmd_analyze(args) -> int:
                 lines.append(f"{n},{lap},{ratio}")
             write_text_atomic(args.csv_path, "\n".join(lines) + "\n")
 
-    if args.type_q is not None:
-        tr = verify_type(
-            m, params.type_value, args.type_q, partition=partition, branch_cap=cap
-        )
+    if tr is not None:
         report["type"] = tr.as_dict()
         if tr.verdict == "refuted":
             print(f"refuted: {tr.refutation}", file=sys.stderr)
-            worst = max(worst, EXIT_REFUTED)
-        elif tr.verdict == "inconclusive":
-            worst = max(worst, EXIT_BUDGET)
 
-    if args.mixing is not None:
-        mr = verify_mixing(m, width, grid, mixing_cap)
+    if mr is not None:
         report["mixing"] = mr.as_dict()
         if not mr.all_covered:
-            bad = next(
-                s for s, n in zip(mr.seeds, mr.first_cover) if n is None
-            )
+            bad = next(s for s, n in zip(mr.seeds, mr.first_cover) if n is None)
             print(
                 f"refuted: seed [{scalar_to_str(bad.lo)}, {scalar_to_str(bad.hi)}] "
                 f"did not cover the domain within {mr.cap} iterations",
                 file=sys.stderr,
             )
-            worst = max(worst, EXIT_REFUTED)
 
     if args.graph is not None:
         # verify_type built the same graph for its census
-        graph = tr.graph if args.type_q is not None else build_covering_graph(m, partition)
+        graph = tr.graph if tr else build_covering_graph(doc.map, doc.markers.partition())
         write_text_atomic(args.graph, graph.to_dot())
         report["graph"] = {
             "dot_path": args.graph,
@@ -283,7 +290,7 @@ def cmd_analyze(args) -> int:
 
     json.dump(report, sys.stdout, sort_keys=True, indent=2)
     sys.stdout.write("\n")
-    return worst
+    return code
 
 
 # ---------------------------------------------------------------- sweep
@@ -333,66 +340,54 @@ def _sweep_cells(args) -> List[Tuple[int, int, str]]:
     return cells
 
 
-def _run_cell(cell: Tuple[int, int, str], args) -> Tuple[int, int, str, dict]:
+def _run_cell(cell: Tuple[int, int, str], args) -> Tuple[int, int, str, int, Tuple[str, ...]]:
+    """(p, d, slope text, exit code, row fields from h_target on) of one
+    cell, built, saved and certified as analyze would; a cell that raises
+    gives an error row, which counts 2."""
     p, d, slope_text = cell
-    cap = args.branch_cap
-    row: dict = {}
     try:
         params = ConstructionParams(p, d, parse_slope_text(slope_text, p))
         doc = document_for(params)
         slug = scalar_to_str(params.slope).replace("/", "_")
-        path = os.path.join(args.out_dir, f"map_p{p}_d{d}_lam{slug}.json")
-        save_document(doc, path)
-        m = doc.map
-        est = estimate_entropy(m, args.entropy_n, target=params.target_entropy, branch_cap=cap)
-        partition = doc.markers.partition() if doc.markers else None
-        tr = verify_type(m, params.type_value, args.type_q, partition=partition, branch_cap=cap)
-        row["h_target"] = f"{params.target_entropy:.6f}"
-        row["h_estimate"] = f"{est.h:.6f}"
-        row["type_verdict"] = tr.verdict
+        save_document(doc, os.path.join(args.out_dir, f"map_p{p}_d{d}_lam{slug}.json"))
+        mixing = None
         if d == 0:
-            width = parse_slope_text(args.mixing_width, p)
-            mr = verify_mixing(m, width, args.mixing_grid, args.mixing_cap)
-            row["mixing_max_n"] = "" if mr.max_n is None else str(mr.max_n)
-            if not mr.all_covered:
-                row["type_verdict"] = tr.verdict + ";mixing-failed"
-        else:
-            row["mixing_max_n"] = ""
+            mixing = (parse_slope_text(args.mixing_width, p), args.mixing_grid, args.mixing_cap)
+        est, tr, mr, code = _certify(doc, args.entropy_n, args.type_q, mixing, args.branch_cap)
     except Exception as exc:  # recorded, never aborts the sweep
-        row.setdefault("h_target", "")
-        row["h_estimate"] = ""
-        row["type_verdict"] = f"error: {exc}"
-        row["mixing_max_n"] = ""
-    return (p, d, slope_text, row)
+        return (p, d, slope_text, EXIT_REFUTED, ("", "", f"error: {exc}", ""))
+    verdict, max_n = tr.verdict, ""
+    if mr is not None:
+        max_n = "" if mr.max_n is None else str(mr.max_n)
+        verdict += "" if mr.all_covered else ";mixing-failed"
+    row = (f"{params.target_entropy:.6f}", f"{est.h:.6f}", verdict, max_n)
+    return (p, d, slope_text, code, row)
 
 
 def cmd_sweep(args) -> int:
     cells = _sweep_cells(args)
     os.makedirs(args.out_dir, exist_ok=True)
     run_cell = functools.partial(_run_cell, args=args)
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    workers = min(args.workers, len(cells))  # a fork pool starts all at the first submit
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_cell, cells))
     else:
         results = [run_cell(cell) for cell in cells]
-    results.sort(key=lambda r: (r[0], r[1], r[2]))
+    results.sort(key=lambda r: r[:3])
 
     summary_path = os.path.join(args.out_dir, "summary.csv")
-    ok = True
     lines = ["p,d,lambda,h_target,h_estimate,type_verdict,mixing_max_n"]
-    for p, d, slope, row in results:
-        fields = [str(p), str(d), slope, row["h_target"], row["h_estimate"],
-                  row["type_verdict"], row["mixing_max_n"]]
-        lines.append(",".join(_csv_quote(f) for f in fields))
-        if row["type_verdict"] != "consistent":
-            ok = False
+    for p, d, slope, _code, row in results:
+        lines.append(",".join(_csv_quote(f) for f in (str(p), str(d), slope, *row)))
+        h_target, h_estimate, verdict, _max_n = row
         print(
-            f"p={p} d={d} lambda={slope}: {row['type_verdict']}, "
-            f"h={row['h_estimate'] or 'n/a'} (target {row['h_target'] or 'n/a'})"
+            f"p={p} d={d} lambda={slope}: {verdict}, "
+            f"h={h_estimate or 'n/a'} (target {h_target or 'n/a'})"
         )
     write_text_atomic(summary_path, "\n".join(lines) + "\n")
     print(f"summary written to {summary_path}")
-    return EXIT_OK if ok else EXIT_REFUTED
+    return max(code for _p, _d, _slope, code, _row in results)
 
 
 # ---------------------------------------------------------------- plot

@@ -154,20 +154,17 @@ def eval_slope_poly(p: int, x: Scalar) -> Scalar:
     return slope_poly(p)(as_scalar(x))
 
 
-def minimal_slope_bracket(p: int, tol: float = 1e-12) -> Tuple[float, float]:
+def minimal_slope_bracket(p: int) -> Tuple[float, float]:
     """Bisection bracket [lo, hi] around the positive root of slope_poly(p).
 
     Starts from [sqrt(2), 2], where the polynomial is -1 at the left end and
-    2^(p-1) - 1 at the right end, and narrows until hi - lo <= tol while the
-    sign change is preserved.
+    2^(p-1) - 1 at the right end, and narrows until hi - lo <= 1e-12 while
+    the sign change is preserved.
     """
     _require_odd(p)
-    tol = float(tol)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     poly = slope_poly(p)
     lo, hi = math.sqrt(2.0), 2.0
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # ran out of float resolution
             break

@@ -51,12 +51,18 @@ class TestVerifyType:
         assert set(report.present) == {1, 2, 4, 6, 8, 10, 12}
         assert report.census is None
 
-    def test_witnesses_reverify(self, f52):
-        report = verify_type(f52.map, 5, 9, partition=f52.markers.partition())
+    @pytest.mark.parametrize("path", RATIONAL_DOCS, ids=lambda path: path.stem)
+    def test_witnesses_reverify(self, path):
+        """Each witness has the least period it is reported under, re-iterated
+        with the oracle's exact evaluator rather than the engine."""
+        doc = load_document(str(path))
+        partition = doc.markers.partition() if doc.markers else None
+        report = verify_type(doc.map, doc.params.type_value, 9, partition=partition)
+        assert report.present
         for q, x in report.present.items():
-            assert iterate(f52.map, x, q) == x
+            assert iterate(doc.map, x, q) == x
             for j in range(1, q):
-                assert iterate(f52.map, x, j) != x
+                assert iterate(doc.map, x, j) != x
 
     def test_refuted_claim(self, f32):
         # the type-3 map realizes period 3, which type 5 forbids

@@ -485,6 +485,63 @@ class TestSweep:
         rows = (out_dir / "summary.csv").read_text().splitlines()[1:]
         assert rows == ["3,0,2,0.693147,0.690436,consistent;mixing-failed,"]
 
+    @pytest.mark.parametrize("sweep_flags, analyze_flags, row, code", [
+        (["--p", "3", "--entropy-n", "4", "--type-q", "5", "--mixing-grid", "4"],
+         ["--entropy", "4", "--type", "5", "--mixing", "1/1024", "4", "200"],
+         "3,0,2,0.693147,0.693201,consistent,12", 0),
+        (["--p", "5", "--entropy-n", "3", "--type-q", "11", "--branch-cap", "80"],
+         ["--entropy", "3", "--type", "11", "--branch-cap", "80",
+          "--mixing", "1/1024", "16", "200"],
+         "5,0,2,0.693147,0.787768,inconclusive,14", 3),
+        (["--p", "3", "--entropy-n", "4", "--type-q", "5", "--mixing-cap", "1"],
+         ["--entropy", "4", "--type", "5", "--mixing", "1/1024", "16", "1"],
+         "3,0,2,0.693147,0.693201,consistent;mixing-failed,", 2),
+    ], ids=["consistent", "inconclusive", "mixing-failed"])
+    def test_cell_exits_as_analyze(self, tmp_path, capsys, sweep_flags, analyze_flags,
+                                   row, code):
+        """A one-cell sweep exits with the code analyze gives on the document
+        the cell wrote, run with the same certificates: an inconclusive type
+        check is a budget verdict (3) in a sweep too."""
+        out_dir = tmp_path / "cells"
+        assert main(["sweep", *sweep_flags, "--lambda", "2", "--out-dir", str(out_dir)]) == code
+        assert (out_dir / "summary.csv").read_text().splitlines()[1:] == [row]
+        doc = out_dir / f"map_p{sweep_flags[1]}_d0_lam2_1.json"
+        assert main(["analyze", str(doc), *analyze_flags]) == code
+
+    @pytest.mark.parametrize("ps, workers, pools", [
+        ("3,5,7", "64", [3]),
+        ("3,5,7", "2", [2]),
+        ("3", "8", []),
+    ])
+    def test_workers_capped_by_cells(self, tmp_path, capsys, monkeypatch, ps, workers, pools):
+        """A pool gets at most one worker per cell, since a fork pool starts
+        every worker at its first submit, and a single cell gets no pool. The
+        stand-in pool records its size and runs the cells in this process."""
+        from intervalmaps import cli
+
+        made = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        code = main(["sweep", "--p", ps, "--lambda", "2", "--entropy-n", "4", "--type-q", "3",
+                     "--mixing-grid", "2", "--workers", workers,
+                     "--out-dir", str(tmp_path / "cells")])
+        assert code == 0
+        assert made == pools
+        assert capsys.readouterr().out.count("consistent") == len(ps.split(","))
+
     def test_quoted_fields(self, tmp_path, capsys):
         """A slope text with a quote is quoted in its own field and in the
         error field that repeats it."""

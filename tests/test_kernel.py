@@ -104,7 +104,7 @@ class TestMinimalSlope:
 
     @pytest.mark.parametrize("p", ODD_PS)
     def test_bracket_invariant(self, p):
-        lo, hi = minimal_slope_bracket(p, 1e-12)
+        lo, hi = minimal_slope_bracket(p)
         assert hi - lo <= 1e-12
         assert eval_slope_poly(p, lo) <= 0 <= eval_slope_poly(p, hi)
 
@@ -117,12 +117,6 @@ class TestMinimalSlope:
                 assert eval_slope_poly(p, x) < 0
             elif x > root + 1e-6:
                 assert eval_slope_poly(p, x) > 0
-
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            minimal_slope_bracket(3, 0.0)
-        with pytest.raises(ValueError):
-            minimal_slope_bracket(3, -1e-9)
 
 
 class TestScalarText:
