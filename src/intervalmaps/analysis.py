@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .covering import CoveringGraph, build_covering_graph, primitive_cycle_census
 from .kernel import FLOAT_TOL, Scalar, _fraction, as_scalar, is_exact, scalar_to_str
 from .plmap import DEFAULT_BRANCH_CAP, BranchBudgetError, Interval, PLMap
-from .sharkovskii import SharkovskiiValue, TWO_INF, expected_period_set
+from .sharkovskii import SharkovskiiValue, _key as _sharkovskii_key, expected_period_set
 
 DEFAULT_Q_MAX = 13  # comfortable for the slope-2 family
 
@@ -139,8 +139,8 @@ def verify_type(
         graph = build_covering_graph(f, partition)
         census = primitive_cycle_census(graph, q_max)
         boundary_periods = _boundary_periods(f, partition, q_max)
-        odd_part = _odd_part(claimed)
-        if odd_part is not None and odd_part >= 3:
+        odd_part = _sharkovskii_key(claimed)[2]  # 0 for 2^k and 2^inf
+        if odd_part >= 3:
             boundary_values = set(boundary_periods.values())
             excluded = tuple(
                 q
@@ -162,15 +162,6 @@ def verify_type(
         excluded_odd_periods=excluded,
         graph=graph,
     )
-
-
-def _odd_part(claimed: SharkovskiiValue) -> Optional[int]:
-    if claimed == TWO_INF:
-        return None
-    n = int(claimed)
-    while n % 2 == 0:
-        n //= 2
-    return n
 
 
 def _boundary_periods(f, partition, q_max) -> Dict[str, Optional[int]]:

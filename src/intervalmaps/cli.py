@@ -244,9 +244,9 @@ def _certify(doc, entropy_n, type_q, mixing, cap) -> tuple:
 
 
 def cmd_analyze(args) -> int:
-    doc = load_document(args.path)
     if args.csv_path is not None and args.entropy is None:
         raise _UsageError("--csv requires --entropy")
+    doc = load_document(args.path)
     if args.graph is not None and doc.markers is None:
         raise _UsageError("--graph needs a document with interval markers (d = 0)")
     mixing = None if args.mixing is None else _mixing_args(args.mixing, doc.params.p)

@@ -33,16 +33,18 @@ recorded Fix(f^j) of the proper divisors j of q. Fractions are made only
 where a result is returned: kernel._fraction turns a reduced pair into one by
 setting its two slots, with no gcd and no argument checks. The lap counts'
 interval graph uses the same lattice: its node ends are ints over the single
-scale D*R^(n_max-1). Points and interval images off that scale are reduced
-int pairs, which find their piece by bisection over the int breakpoint
-numerators: exact mixing traces and return times step on them directly, and
-image wraps the same step. Every division on the lattice is exact, and a
-remainder raises ArithmeticError.
+scale D*R^(n_max-1), each stepped by f directly with no memo of images; only
+the cut images are computed once. Points and interval images off that scale
+are reduced int pairs, which find their piece by bisection over the int
+breakpoint numerators: exact mixing traces and return times step on them
+directly, and image wraps the same step. Every division on the lattice is
+exact, and a remainder raises ArithmeticError.
 Floating mode carries each branch's slope and offset in binary64, cuts it
 where its image crosses a breakpoint, and records Fix(f^n) as an array('d').
 Least periods are return times within FLOAT_TOL from one walk loop over all
-of Fix(f^q), _returns, which return_time also runs for a single point:
-each step finds its piece's (breakpoint, value, slope) in one table whose last
+of Fix(f^q), _returns, which return_time also runs for a single point.
+Scalar steps of f have one piece lookup: PLMap.eval and each step of that walk
+find the piece's (breakpoint, value, slope) in one table, _pieces, whose last
 entry is the domain's right end. No itinerary is stored; an error that names
 one recomputes it from a point's orbit.
 
@@ -224,16 +226,12 @@ class PLMap:
         raise ValueError(f"point {x!r} outside domain [{lo}, {hi}]")
 
     def eval(self, x: Scalar) -> Scalar:
-        """Value at x; exact for rational inputs. Breakpoints return their
-        stored value."""
+        """Value at x; exact for rational inputs. Breakpoints and the right
+        end return their stored value, read from the same _pieces entry as
+        the interior points of their piece."""
         x = self._clamp(as_scalar(x))
-        bps, vals = self.breakpoints, self.values
-        j = bisect_right(bps, x) - 1
-        if j >= len(bps) - 1:
-            return vals[-1]
-        if x == bps[j]:
-            return vals[j]
-        return vals[j] + (x - bps[j]) * self.slopes[j]
+        b, v, s = self._pieces[bisect_right(self.breakpoints, x) - 1]
+        return v if x == b else v + (x - b) * s
 
     def image(self, a: Interval) -> Interval:
         """Exact set-image of a closed subinterval: extrema over the endpoint
@@ -339,8 +337,10 @@ class PLMap:
         breakpoint k lies at B[k]*R^M; on piece k, whose slope is s/t in lowest
         terms (t | R), f maps x to V[k]*R^M + s*(x - B[k]*R^M)/t. That division
         is exact on the lattice, and a remainder (a scale too coarse for the
-        slopes) raises ArithmeticError. The node work is int hashing and
-        bisection, and the sums are ints.
+        slopes) raises ArithmeticError. Each node end is stepped by f
+        directly and only the cut images are computed once: a memo of images
+        measured no faster. The node work is int hashing and bisection, and
+        the sums are ints.
         """
         e = self._engine
         scale = e.R ** (n_max - 1)
@@ -351,7 +351,6 @@ class PLMap:
         steps = [(s.numerator, s.denominator) for s in self.slopes]
         # cuts are breakpoints, so their denominators divide D
         cuts = [c.numerator * (S // c.denominator) for c in cuts]
-        image: Dict[int, int] = {}
 
         def f(x: int) -> int:
             k = bisect_right(head, x) - 1
@@ -359,18 +358,15 @@ class PLMap:
             step, rem = divmod(num * (x - bs[k]), den)
             if rem:
                 raise ArithmeticError(f"f({x}/{S}) is not a multiple of 1/{S}")
-            image[x] = y = vs[k] + step
-            return y
+            return vs[k] + step
 
-        for c in cuts:
-            f(c)
+        cut_images = [f(c) for c in cuts]
         root = (bs[0], bs[-1])
         nodes = [root]
         index = {root: 0}
         direct: List[int] = []
         kids: List[List[int]] = []
         found = []  # found[d]: the number of nodes at depth <= d
-        get = image.get
         for depth in range(n_max):
             start = found[-1] if found else 0
             found.append(len(nodes))
@@ -380,11 +376,7 @@ class PLMap:
                 direct.append(j - i)
                 if last:
                     continue
-                ys = [get(u), *map(image.__getitem__, cuts[i:j]), get(v)]
-                if ys[0] is None:
-                    ys[0] = f(u)
-                if ys[-1] is None:
-                    ys[-1] = f(v)
+                ys = [f(u), *cut_images[i:j], f(v)]
                 children = []
                 for a, b in zip(ys, ys[1:]):
                     key = (a, b) if a < b else (b, a)
@@ -445,10 +437,12 @@ class PLMap:
         return out
 
     def _itinerary(self, x: Scalar, q: int) -> Tuple[int, ...]:
-        """Piece index of f at each of the first q points of x's orbit."""
+        """Piece index of f at each of the first q points of x's orbit, by
+        bisection over the interior breakpoints as in _FloatEngine.refine."""
+        inner = self.breakpoints[1:-1]
         out = []
         for _ in range(q):
-            out.append(_piece_index(self.breakpoints, x))
+            out.append(bisect_right(inner, x))
             x = self.eval(x)
         return tuple(out)
 
@@ -481,9 +475,10 @@ class PLMap:
     def _returns(self, xs, n: int) -> List[Tuple[Scalar, int]]:
         """(x, return_time(x, n)) for the points of xs in order, up to the
         first that does not return within n steps: a list shorter than xs
-        ends before that point. One walk loop: each step is eval with the same
-        expressions, clamping only a point outside the domain, and y == b
-        covers a breakpoint and the domain's right end."""
+        ends before that point. One walk loop: each step is eval inlined, the
+        same _pieces lookup and expressions, clamping only a point outside
+        the domain, and y == b covers a breakpoint and the domain's right
+        end."""
         tol = self.tol
         bps, pieces, clamp = self.breakpoints, self._pieces, self._clamp
         lo, hi = bps[0], bps[-1]
@@ -768,7 +763,8 @@ class _FloatEngine(_Engine):
         # the midpoint's piece, bisect_right(bps, m) - 1 clamped to the pieces,
         # is bisect_right over the interior breakpoints
         self.inner = bps[1:-1]
-        # t*bps[j] is the same float inside t*o + vals[j] - t*bps[j]
+        # t*bps[j] is the same float inside t*o + vals[j] - t*bps[j] and in
+        # f^1's offsets vals[j] - t*bps[j]
         self.tb = [t * b for t, b in zip(slopes, bps)]
         self.laps: List[int] = []
 
@@ -777,8 +773,8 @@ class _FloatEngine(_Engine):
         self.laps.append(_runs([s > 0 for s in it.slope]))
 
     def first(self) -> _FloatIterate:
-        bps, vals, slopes = self.bps, self.vals, self.slopes
-        offsets = [vals[j] - slopes[j] * bps[j] for j in range(len(slopes))]
+        bps, slopes = self.bps, self.slopes
+        offsets = [v - tb for v, tb in zip(self.vals, self.tb)]
         return _FloatIterate(1, list(bps[:-1]), list(bps[1:]), list(slopes), offsets)
 
     def refine(self, it: _FloatIterate, cap: int) -> _FloatIterate:
@@ -843,11 +839,6 @@ class _FloatEngine(_Engine):
         # tol above it
         kept = -math.inf
         return array("d", [kept := x for x in raw if x - kept > tol])
-
-
-def _piece_index(bps, x: Scalar) -> int:
-    j = bisect_right(bps, x) - 1
-    return min(max(j, 0), len(bps) - 2)
 
 
 def _runs(rising: List[bool]) -> int:

@@ -4,13 +4,16 @@ Each is the plain, slow way to do a job the library does faster. Orbits and
 exact interval images step with ref_eval, which reads only a map's
 breakpoints and values; mixing seeds are laid out in Fraction arithmetic and
 their traces run to the cap; cycles are listed one by one by depth-first
-search. Only a floating mixing trace
-evaluates through PLMap.eval, for its clamp of round-off at the domain's ends.
+search; fixed points of f^n are counted a second way, as closed paths in
+Hofbauer's diagram of intervals (interval_diagram). Only a floating mixing
+trace evaluates through PLMap.eval, for its clamp of round-off at the
+domain's ends.
 
 The floating branch pass is the exception: its results depend on every
 rounding, so its reference is the plain loop it was tuned from, kept here
 statement for statement (float_refine, float_fixed_points and the per-point
-float_return_time walk), which the engine must match bit for bit.
+float_return_time walk), which the engine must match bit for bit; so must
+PLMap.eval match eval_by_index.
 """
 
 from bisect import bisect_left, bisect_right
@@ -19,7 +22,7 @@ from functools import partial
 from typing import NamedTuple
 
 from intervalmaps import BranchBudgetError, Interval, OrbitNotClosedError
-from intervalmaps.kernel import FLOAT_TOL
+from intervalmaps.kernel import FLOAT_TOL, as_scalar
 from intervalmaps.plmap import MERGE_TOL, _IdentityBranch
 
 
@@ -83,6 +86,56 @@ def mixing_seeds(m, width, grid):
         center = lo + span * Fraction(2 * i + 1, 2 * grid)
         seeds.append(Interval(max(lo, center - width / 2), min(hi, center + width / 2)))
     return tuple(seeds)
+
+
+def interval_diagram(m, budget=1000):
+    """Hofbauer's Markov diagram of m over its breakpoint partition, as the
+    arrow lists of its nodes in the order they are found.
+
+    The nodes are open intervals, the root (node 0) being the open domain.
+    Every interior breakpoint is a cut, so f is monotone on each piece of a
+    node between the cuts inside it; the node has one arrow per piece, to
+    the node of that piece's image, so equal images count with multiplicity.
+    The diagram is built until no new node appears, and one past budget
+    nodes raises RuntimeError."""
+    bps = m.breakpoints
+    cuts = bps[1:-1]
+    nodes = [(bps[0], bps[-1])]
+    index = {nodes[0]: 0}
+    arrows = []
+    for u, v in nodes:  # runs on over the nodes appended below
+        ends = [u, *(c for c in cuts if u < c < v), v]
+        row = []
+        for a, b in zip(ends, ends[1:]):
+            image = tuple(sorted((ref_eval(m, a), ref_eval(m, b))))
+            if image not in index:
+                if len(nodes) == budget:
+                    raise RuntimeError(f"the diagram has more than {budget} nodes")
+                index[image] = len(nodes)
+                nodes.append(image)
+            row.append(index[image])
+        arrows.append(row)
+    return arrows
+
+
+def diagram_fix_counts(m, n_max, budget=1000):
+    """tr(A^n) for n = 1..n_max, where A counts the arrows between nodes of
+    interval_diagram(m, budget): the closed paths of length n, which the
+    fixed points of f^n match up to orbits through the cuts."""
+    arrows = interval_diagram(m, budget)
+    size = len(arrows)
+    power = [[int(i == j) for j in range(size)] for i in range(size)]  # A^0
+    traces = []
+    for _ in range(n_max):
+        nxt = [[0] * size for _ in range(size)]
+        for i, row in enumerate(power):
+            for k, count in enumerate(row):
+                if count:
+                    for j in arrows[k]:
+                        nxt[i][j] += count
+        power = nxt
+        traces.append(sum(power[i][i] for i in range(size)))
+    return traces
 
 
 def primitive_cycles(graph, max_len):
@@ -222,6 +275,19 @@ def float_fixed_points(it):
             continue
         merged.append(x)
     return merged
+
+
+def eval_by_index(m, x):
+    """f(x) as PLMap.eval computes it, from the piece index by bisection over
+    all breakpoints, with the right end and breakpoints as separate cases."""
+    x = m._clamp(as_scalar(x))
+    bps, vals = m.breakpoints, m.values
+    j = bisect_right(bps, x) - 1
+    if j >= len(bps) - 1:
+        return vals[-1]
+    if x == bps[j]:
+        return vals[j]
+    return vals[j] + (x - bps[j]) * m.slopes[j]
 
 
 def float_return_time(m, x, n):

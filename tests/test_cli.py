@@ -290,6 +290,13 @@ class TestAnalyze:
         capsys.readouterr()
         assert main(["analyze", str(path), "--csv", str(tmp_path / "x.csv")]) == 1
 
+    def test_csv_without_entropy_is_refused_first(self, tmp_path, capsys):
+        """The usage error comes before the document loads, so a missing
+        document does not hide it."""
+        missing = tmp_path / "missing.json"
+        assert main(["analyze", str(missing), "--csv", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == "usage error: --csv requires --entropy\n"
+
     def test_graph_requires_markers(self, tmp_path, capsys):
         path = construct(tmp_path, "--p", "3", "--d", "1", "--lambda", "2")
         capsys.readouterr()

@@ -575,6 +575,20 @@ def test_float_identity_iterate():
             call(2)
 
 
+@pytest.mark.parametrize("m, message", [
+    (PLMap((Fraction(0), Fraction(1, 2), Fraction(1)), (Fraction(1), Fraction(1, 2), Fraction(0))),
+     r"f\^2 is the identity on \[0, 1/2\] \(itinerary \(0, 1\)\)"),
+    (PLMap((0.0, 0.5, 1.0), (1.0, 0.5, 0.0)),
+     r"f\^2 is the identity on \[0.0, 0.5\] \(itinerary \(0, 1\)\)"),
+], ids=["exact", "float"])
+def test_identity_itinerary_crosses_pieces(m, message):
+    """x -> 1 - x with a breakpoint at 1/2: the orbit of 1/4 visits both
+    pieces, so the itinerary in the error names each of them."""
+    assert m.periodic_points(1) == [(m.breakpoints[1], 1)]
+    with pytest.raises(FixedPointContinuumError, match=f"^{message}$"):
+        m.periodic_points(2)
+
+
 def test_recorded_identity_keeps_no_iterate():
     """An identity hit is recorded as the ends of its branch alone, so the
     record keeps no iterate alive for the life of the map."""

@@ -26,8 +26,10 @@ from intervalmaps import (
 )
 from intervalmaps.cli import main
 from intervalmaps.document import document_for
+from intervalmaps.kernel import FLOAT_TOL
 from intervalmaps.plmap import _IdentityBranch
 from oracles import (
+    eval_by_index,
     float_first,
     float_fixed_points,
     float_periodic_points,
@@ -147,6 +149,36 @@ def test_identity_and_translation_branches_match_reference():
     """x -> 1 - x (f^2 is the identity) and a map with a translation piece."""
     assert_pass_matches_reference(PLMap((0.0, 1.0), (1.0, 0.0)))
     assert_pass_matches_reference(PLMap((0.0, 0.25, 1.0), (0.5, 0.75, 0.0)))
+
+
+# ---------------------------------------------------------------- eval
+
+
+def eval_points(m):
+    """Every breakpoint (the right end among them), the midpoint and two
+    off-centre points of every piece, and the points FLOAT_TOL/2 outside
+    each end, which eval clamps."""
+    bps = m.breakpoints
+    inner = [
+        x for a, b in zip(bps, bps[1:]) for x in ((a + b) / 2, a + (b - a) / 3, b - (b - a) / 7)
+    ]
+    return [*bps, *inner, bps[0] - FLOAT_TOL / 2, bps[-1] + FLOAT_TOL / 2]
+
+
+def assert_eval_matches_reference(m, xs):
+    assert [float.hex(m.eval(x)) for x in xs] == [float.hex(eval_by_index(m, x)) for x in xs]
+
+
+@pytest.mark.parametrize("p, d, lam", SWEEP_CELLS)
+def test_sweep_maps_eval_matches_reference(p, d, lam):
+    m = document_for(ConstructionParams(p, d, parse_slope_text(lam, p))).map
+    assert_eval_matches_reference(m, eval_points(m))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(float_maps(), st.lists(st.floats(-FLOAT_TOL / 2, 1 + FLOAT_TOL / 2), max_size=20))
+def test_random_maps_eval_matches_reference(m, xs):
+    assert_eval_matches_reference(m, [*eval_points(m), *xs])
 
 
 # ---------------------------------------------------------------- closure guard
