@@ -5,17 +5,30 @@ Exit codes: 0 success, 1 usage or I/O error, 2 certification refuted,
 _certify, which gives 2 for a refuted type or a seed that never covers and 3
 for an inconclusive type, the larger when both; an error row counts 2, and
 sweep exits with its worst cell's code.
+
+main pauses CPython's cyclic garbage collector for the command it runs. A
+command's allocations are acyclic, so reference counting frees them when it
+returns: with the collector off, gc.collect() afterwards finds 33 unreachable
+objects (one closure cycle of json's indenting encoder) after analyze at any
+--type depth and 33 per sweep cell. Left on, the collector starts on the
+branch pass's many allocations, the (Fraction, int) periodic points above
+all, and re-traverses the iterates and Fix records still live each time:
+measured on CPython 3.11, 6% of the analyze --type 11 --mixing --graph pass
+over f52 and f72 (15 youngest- and one middle-generation collections), and
+on f52 alone 12% of --type 13, 21% of --type 15 and 31% of --type 16. A
+forked sweep worker inherits the paused collector for the pool's lifetime,
+and its cells leave the same few objects each.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Tuple
 
 from .analysis import (
@@ -370,6 +383,10 @@ def cmd_sweep(args) -> int:
     run_cell = functools.partial(_run_cell, args=args)
     workers = min(args.workers, len(cells))  # a fork pool starts all at the first submit
     if workers > 1:
+        # imported here: concurrent.futures.process is about a quarter of
+        # this module's import time, and most commands start no pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_cell, cells))
     else:
@@ -418,7 +435,12 @@ _HANDLERS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command and give its exit code. The cyclic garbage collector
+    is paused while the command runs and left as it was found, however the
+    command ends (see the module docstring for why)."""
     parser = _build_parser()
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
@@ -431,6 +453,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, OSError, FixedPointContinuumError, OrbitNotClosedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

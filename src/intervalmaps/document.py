@@ -16,7 +16,6 @@ from __future__ import annotations
 import datetime
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
@@ -195,18 +194,18 @@ def document_for(params: ConstructionParams, rescale: bool = True) -> MapDocumen
 
 def write_text_atomic(path: str, text: str) -> None:
     """Whole-file atomic write (temp file in the same directory, then rename).
-    The file gets the mode a plain write would, 0o666 less the umask, where
-    mkstemp alone leaves 0o600. A failed write raises an OSError that names
-    path, not the temp file."""
+    The temp file is created with mode 0o666, which the kernel reduces by the
+    umask, so the file gets the mode a plain write would and the process
+    umask is never changed. A failed write raises an OSError that names path,
+    not the temp file."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        name = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name  # ours to remove only once O_EXCL has created it
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
-        umask = os.umask(0)  # the only way to read it is to set it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):

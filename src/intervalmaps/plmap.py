@@ -27,18 +27,19 @@ denominators. Refinement builds f^(n+1) as f^n o f, by pullback: on each piece
 of f, the ends of f^(n+1) are the piece's left breakpoint and the preimages of
 the ends of f^n inside the piece's image, a slice found by two bisections and
 mapped by one multiply-add per end, and f^(n+1) takes f^n's values there.
-Fixed points are the sign changes of f^q(x) - x, taken once per end, kept as
-reduced (num, den) int pairs: least periods come from one dict over the
-recorded Fix(f^j) of the proper divisors j of q. Fractions are made only
-where a result is returned: kernel._fraction turns a reduced pair into one by
-setting its two slots, with no gcd and no argument checks. The lap counts'
-interval graph uses the same lattice: its node ends are ints over the single
-scale D*R^(n_max-1), each stepped by f directly with no memo of images; only
-the cut images are computed once. Points and interval images off that scale
-are reduced int pairs, which find their piece by bisection over the int
-breakpoint numerators: exact mixing traces and return times step on them
-directly, and image wraps the same step. Every division on the lattice is
-exact, and a remainder raises ArithmeticError.
+Fixed points are the sign changes of f^q(x) - x, found in one loop over the
+ends that carries the previous end and its value of f^q(x) - x, with no list
+of those values. They are kept as reduced (num, den) int pairs: least periods
+come from one dict over the recorded Fix(f^j) of the proper divisors j of q.
+Fractions are made only where a result is returned: kernel._fraction turns a
+reduced pair into one by setting its two slots, with no gcd and no argument
+checks. The lap counts' interval graph uses the same lattice: its node ends
+are ints over the single scale D*R^(n_max-1), each stepped by f directly with
+no memo of images; only the cut images are computed once. Points and
+interval images off that scale are reduced int pairs, which find their piece
+by bisection over the int breakpoint numerators: exact mixing traces and
+return times step on them directly, and image wraps the same step. Every
+division on the lattice is exact, and a remainder raises ArithmeticError.
 Floating mode carries each branch's slope and offset in binary64, cuts it
 where its image crosses a breakpoint, and records Fix(f^n) as an array('d').
 Least periods are return times within FLOAT_TOL from one walk loop over all
@@ -60,6 +61,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from operator import ne
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -709,29 +711,36 @@ class _ExactEngine(_Engine):
         """Fix(f^n) in domain order: where f^n(x) - x changes sign on a branch,
         its sign taken once per end. Each point is a reduced pair (num, den)
         with den > 0, so equal points are equal pairs. A branch on which f^n is
-        the identity is returned as an _IdentityBranch instead."""
+        the identity is returned as an _IdentityBranch instead.
+
+        One loop over the ends after the first carries the previous end P and
+        its g0 = (f^n(P) - P) * D*sx*sy, so no list of values is built. A zero
+        end is a fixed point; a sign change between P and Q is the zero of the
+        branch's line, (Q*g0 - P*g1) / (X*(g0 - g1)); tests/oracles.py keeps
+        the two-pass form, exact_fixed_points, as the reference."""
         sx, sy = self.L ** (it.n - 1), self.R ** (it.n - 1)
         X = self.D * sx
-        xs = it.xs
-        # (f^n(x) - x) * D*sx*sy at each end
-        g = [y * sx - x * sy for x, y in zip(xs, it.ys)]
+        xs, ys = it.xs, it.ys
+        P = xs[0]
+        g0 = ys[0] * sx - P * sy
         out: List[Tuple[int, int]] = []
-        if g[0] == 0:
-            d = math.gcd(xs[0], X)
-            out.append((xs[0] // d, X // d))
-        for P, Q, g0, g1 in zip(xs, xs[1:], g, g[1:]):
-            if g1 == 0:
-                if g0 == 0:
-                    return _IdentityBranch(Fraction(P, X), Fraction(Q, X))
-                num, den = Q, X
-            elif g0 == 0 or (g0 < 0) == (g1 < 0):
-                continue
-            else:
-                num, den = P * (g0 - g1) + (Q - P) * g0, X * (g0 - g1)
+        if g0 == 0:
+            d = math.gcd(P, X)
+            out.append((P // d, X // d))
+        for Q, y in zip(islice(xs, 1, None), islice(ys, 1, None)):
+            g1 = y * sx - Q * sy
+            if g1 > 0 and g0 < 0 or g1 < 0 and g0 > 0:
+                num, den = Q * g0 - P * g1, X * (g0 - g1)
                 if den < 0:
                     num, den = -num, -den
-            d = math.gcd(num, den)
-            out.append((num // d, den // d))
+                d = math.gcd(num, den)
+                out.append((num // d, den // d))
+            elif g1 == 0:
+                if g0 == 0:
+                    return _IdentityBranch(Fraction(P, X), Fraction(Q, X))
+                d = math.gcd(Q, X)
+                out.append((Q // d, X // d))
+            P, g0 = Q, g1
         return out
 
     def least_periods(self, points: List[Tuple[int, int]], q: int) -> List[int]:

@@ -13,9 +13,12 @@ The floating branch pass is the exception: its results depend on every
 rounding, so its reference is the plain loop it was tuned from, kept here
 statement for statement (float_refine, float_fixed_points and the per-point
 float_return_time walk), which the engine must match bit for bit; so must
-PLMap.eval match eval_by_index.
+PLMap.eval match eval_by_index. The exact sign-change scan of Fix(f^n) has
+its two-pass form kept here too, exact_fixed_points, which builds the values
+of f^n(x) - x at every end first and then walks the ends again.
 """
 
+import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import partial
@@ -188,6 +191,39 @@ def _is_primitive(seq):
         if n % d == 0 and seq == seq[:d] * (n // d):
             return False
     return True
+
+
+# ---------------------------------------------------------------- exact scan
+
+
+def exact_fixed_points(e, it):
+    """Fix(f^n) of the exact iterate it on the engine e's lattice, in two
+    passes: (f^n(x) - x) * D*sx*sy at every end into one list, then each pair
+    of neighbouring ends. A zero end is a fixed point, a sign change between
+    two ends the zero of the branch's line between them, as a reduced
+    (num, den) pair; a branch zero at both ends is an _IdentityBranch."""
+    sx, sy = e.L ** (it.n - 1), e.R ** (it.n - 1)
+    X = e.D * sx
+    xs = it.xs
+    g = [y * sx - x * sy for x, y in zip(xs, it.ys)]
+    out = []
+    if g[0] == 0:
+        d = math.gcd(xs[0], X)
+        out.append((xs[0] // d, X // d))
+    for P, Q, g0, g1 in zip(xs, xs[1:], g, g[1:]):
+        if g1 == 0:
+            if g0 == 0:
+                return _IdentityBranch(Fraction(P, X), Fraction(Q, X))
+            num, den = Q, X
+        elif g0 == 0 or (g0 < 0) == (g1 < 0):
+            continue
+        else:
+            num, den = P * (g0 - g1) + (Q - P) * g0, X * (g0 - g1)
+            if den < 0:
+                num, den = -num, -den
+        d = math.gcd(num, den)
+        out.append((num // d, den // d))
+    return out
 
 
 # ---------------------------------------------------------------- floating pass

@@ -1,3 +1,5 @@
+import concurrent.futures
+import gc
 import importlib
 import inspect
 import json
@@ -523,9 +525,9 @@ class TestSweep:
     def test_workers_capped_by_cells(self, tmp_path, capsys, monkeypatch, ps, workers, pools):
         """A pool gets at most one worker per cell, since a fork pool starts
         every worker at its first submit, and a single cell gets no pool. The
-        stand-in pool records its size and runs the cells in this process."""
-        from intervalmaps import cli
-
+        stand-in pool records its size and runs the cells in this process;
+        sweep imports the pool class from concurrent.futures when it starts
+        one, so the stand-in replaces it there."""
         made = []
 
         class Pool:
@@ -541,7 +543,7 @@ class TestSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         code = main(["sweep", "--p", ps, "--lambda", "2", "--entropy-n", "4", "--type-q", "3",
                      "--mixing-grid", "2", "--workers", workers,
                      "--out-dir", str(tmp_path / "cells")])
@@ -609,6 +611,96 @@ class TestFileModes:
         written = [doc, dot, csv, svg, *(str(p) for p in Path(cells).iterdir())]
         assert len(written) == 6  # sweep wrote summary.csv and one document
         assert {p: stat.S_IMODE(os.stat(p).st_mode) for p in written} == dict.fromkeys(written, mode)
+
+
+class TestUmaskUntouched:
+    def test_writers_never_call_umask(self, tmp_path, capsys, monkeypatch):
+        """The atomic writer lets the kernel apply the umask when it creates
+        its temp file, so no writer reads or sets the process umask: with
+        os.umask raising, every command still writes 0o666 less the umask."""
+        old = os.umask(0o077)
+
+        def umask(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", umask)
+        try:
+            TestFileModes().test_outputs(tmp_path, capsys, 0o600)
+        finally:
+            monkeypatch.undo()
+            os.umask(old)
+
+
+class TestCollectorPause:
+    """main pauses the cyclic garbage collector while a command runs and
+    leaves it as it found it, however the command ends."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def state(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_restored_after_exit_codes(self, tmp_path, capsys, state):
+        path = str(construct(tmp_path, "--p", "5", "--lambda", "2"))
+        assert gc.isenabled() is state
+        assert main(["analyze", path, "--type", "5"]) == 0
+        assert gc.isenabled() is state
+        assert main(["construct", "--p", "3", "--frobnicate"]) == 1
+        assert gc.isenabled() is state
+        assert main(["analyze", path, "--type", "13", "--branch-cap", "50"]) == 3
+        assert gc.isenabled() is state
+
+    def test_restored_after_escaping_exception(self, tmp_path, capsys, monkeypatch, state):
+        from intervalmaps import cli
+
+        seen = []
+
+        def handler(args):
+            seen.append(gc.isenabled())
+            raise RuntimeError("escaped")
+
+        monkeypatch.setitem(cli._HANDLERS, "plot", handler)
+        with pytest.raises(RuntimeError, match="escaped"):
+            main(["plot", "m.json", "--out", str(tmp_path / "m.svg")])
+        assert seen == [False]  # off while the handler ran
+        assert gc.isenabled() is state
+
+
+class TestCollectorMayStayOff:
+    """What a command leaves for the cyclic collector: with it off, the
+    objects gc.collect() finds unreachable afterwards. Deeper work must not
+    leave more, so pausing the collector for a command costs no memory that
+    grows with the work."""
+
+    @staticmethod
+    def unreachable_after(argv):
+        gc.collect()
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            return gc.collect()
+        finally:
+            if was:
+                gc.enable()
+
+    def test_deeper_type_leaves_no_more(self, tmp_path, capsys):
+        path = str(construct(tmp_path, "--p", "5", "--lambda", "2"))
+        counts = [
+            self.unreachable_after(["analyze", path, "--type", str(q), "--mixing", "1/64", "8",
+                                    "100", "--graph", str(tmp_path / "g.dot")])
+            for q in (9, 13)
+        ]
+        assert counts[1] <= counts[0], counts
+
+    def test_sweep_cells_leave_a_few_each(self, tmp_path, capsys):
+        """Nine cells, each a constructed, saved and certified document."""
+        found = self.unreachable_after(
+            ["sweep", "--p", "3", "--d", "0,1,2", "--lambda", "2,1.9,17/10", "--entropy-n", "4",
+             "--type-q", "5", "--mixing-grid", "2", "--out-dir", str(tmp_path / "cells")])
+        assert found <= 9 * 40, found  # 33 per cell on CPython 3.11
 
 
 class TestUsage:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from types import FrameType, TracebackType
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from intervalmaps import (
@@ -31,6 +31,7 @@ from intervalmaps import (
     parse_slope_text,
     square_root,
 )
+from intervalmaps.document import load_document
 from intervalmaps.kernel import FLOAT_TOL
 from intervalmaps.plmap import (
     _ExactEngine,
@@ -39,7 +40,8 @@ from intervalmaps.plmap import (
     _FloatIterate,
     _IdentityBranch,
 )
-from oracles import ref_eval, ref_image
+from oracles import exact_fixed_points, ref_eval, ref_image
+from test_analysis import RATIONAL_DOCS
 
 F = Fraction
 
@@ -350,6 +352,47 @@ def test_pullback_matches_cuts_on_random_maps(m):
     branches."""
     counts = m._hits(m.breakpoints[1:-1], 10)
     assert_pullback_matches_cuts(m, max(n for n in range(1, 11) if counts[n - 1] <= 3000))
+
+
+def assert_scan_matches_two_passes(m, most=None):
+    """Fix(f^n) as the pass records it against oracles.exact_fixed_points,
+    the two-pass scan, on the same iterate, for n <= 10; stops after the
+    first iterate with more than most branches."""
+    e = m._engine
+    for n in range(1, 11):
+        it = m.branches_of_iterate(n)
+        assert e.fixed[n - 1] == exact_fixed_points(e, it), n
+        if most is not None and len(it) > most:
+            break
+
+
+@pytest.mark.parametrize("path", RATIONAL_DOCS, ids=lambda path: path.stem)
+def test_scan_matches_two_passes(path):
+    assert_scan_matches_two_passes(load_document(str(path)).map)
+
+
+@st.composite
+def exact_maps_fixing_breakpoints(draw):
+    """exact_maps with a drawn set of breakpoints, maybe none, moved onto
+    the diagonal: f^n(x) - x is then zero at some branch ends, and two
+    neighbouring ones make a piece on which f is the identity."""
+    m = draw(exact_maps())
+    bps = m.breakpoints
+    fixed = draw(st.sets(st.integers(0, len(bps) - 1)))
+    values = tuple(b if k in fixed else v for k, (b, v) in enumerate(zip(bps, m.values)))
+    assume(all(a != b for a, b in zip(values, values[1:])))
+    return PLMap(bps, values)
+
+
+@ENGINES_AGREE
+@given(exact_maps_fixing_breakpoints())
+# x -> 1 - x with a breakpoint at 1/2 (test_identity_itinerary_crosses_pieces):
+# f^2 is the identity on its first branch
+@example(PLMap((F(0), F(1, 2), F(1)), (F(1), F(1, 2), F(0))))
+def test_scan_matches_two_passes_on_random_maps(m):
+    """The same on random maps, for n <= 10 while f^n has at most 3000
+    branches."""
+    assert_scan_matches_two_passes(m, most=3000)
 
 
 def completed_n(call, n, cap):
