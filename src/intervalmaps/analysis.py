@@ -92,7 +92,9 @@ def verify_type(
     checked period if the branch budget runs out, downgrading the verdict to
     inconclusive). The optional graph certificate rules out odd periods below
     the claimed odd part outright: no primitive cycle of that length plus no
-    boundary point of that period means no such periodic point at all.
+    boundary point of that period means no such periodic point at all. Its
+    census and boundary return times run to the largest such period even
+    past q_max, and are reported up to q_max.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
@@ -137,16 +139,24 @@ def verify_type(
     graph = census = boundary_periods = excluded = None
     if partition is not None:
         graph = build_covering_graph(f, partition)
-        census = primitive_cycle_census(graph, q_max)
-        boundary_periods = _boundary_periods(f, partition, q_max)
         odd_part = _sharkovskii_key(claimed)[2]  # 0 for 2^k and 2^inf
+        # the census and the boundary walk reach every odd period below the
+        # odd part, so each excluded period is checked; both are reported
+        # up to q_max only
+        reach = max(q_max, odd_part - 2)
+        census = primitive_cycle_census(graph, reach)
+        returns = _boundary_periods(f, partition, reach)
         if odd_part >= 3:
-            boundary_values = set(boundary_periods.values())
+            boundary_values = set(returns.values())
             excluded = tuple(
                 q
                 for q in range(3, odd_part, 2)
-                if census.get(q, 0) == 0 and q not in boundary_values
+                if census[q] == 0 and q not in boundary_values
             )
+        census = {n: census[n] for n in range(1, q_max + 1)}
+        boundary_periods = {
+            pt: None if r is None or r > q_max else r for pt, r in returns.items()
+        }
 
     return TypeReport(
         claimed=claimed,
@@ -283,17 +293,16 @@ def _key(a: Interval) -> Tuple[int, int, int, int]:
 
 
 def _first_cover(
-    f: PLMap, seed: Interval, cap: int, known: dict, exact: bool
+    f: PLMap, dom: Interval, seed: Interval, cap: int, known: dict, exact: bool
 ) -> Optional[int]:
-    """The first n <= cap with f^n(seed) equal to the domain (within FLOAT_TOL
-    at each end unless exact), cut short by known, a table of image ->
-    first cover time (math.inf: never). An image met at step n with time
-    r gives n + r, None past cap. A new image enters known as inf, so a
-    repeat within the trace, a cycle that never covers, gives None too; it
-    gets its true time when the trace ends, or leaves known at the cap.
-    An exact trace iterates the engine's image step on int keys; a floating
-    one takes PLMap.image on Intervals."""
-    dom = f.domain
+    """The first n <= cap with f^n(seed) equal to dom, f's domain (within
+    FLOAT_TOL at each end unless exact), cut short by known, a table of
+    image -> first cover time (math.inf: never). An image met at step n
+    with time r gives n + r, None past cap. A new image enters known as
+    inf, so a repeat within the trace, a cycle that never covers, gives None
+    too; it gets its true time when the trace ends, or leaves known at the
+    cap. An exact trace iterates the engine's image step on int keys; a
+    floating one takes PLMap.image on Intervals."""
     if exact:
         image, cur, covers = f._engine.image, _key(seed), _key(dom).__eq__
     else:
@@ -374,9 +383,10 @@ def verify_mixing(
     exact = f.is_exact and is_exact(w)
     if not exact:
         w = float(w)
-    seeds = _exact_seeds(f.domain, w, grid) if exact else _float_seeds(f.domain, w, grid)
+    dom = f.domain
+    seeds = _exact_seeds(dom, w, grid) if exact else _float_seeds(dom, w, grid)
     known: dict = {}  # image -> first cover time, shared by every trace
-    firsts = [_first_cover(f, seed, cap, known, exact) for seed in seeds]
+    firsts = [_first_cover(f, dom, seed, cap, known, exact) for seed in seeds]
     hits = [n for n in firsts if n is not None]
     return MixingReport(
         seed_width=w,

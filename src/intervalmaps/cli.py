@@ -301,8 +301,7 @@ def cmd_analyze(args) -> int:
             "partial_edges": sum(1 for e in graph.edges if e[2] == EDGE_PARTIAL),
         }
 
-    json.dump(report, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return code
 
 

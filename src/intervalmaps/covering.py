@@ -5,8 +5,10 @@ covering the domain. The graph has an arrow A -> B whenever the image of A
 meets the interior of B; the arrow is full when the image covers all of B,
 partial otherwise. Primitive cycles (closed edge-walks not obtained by
 repeating a shorter one, counted up to rotation) certify absence of periods.
-The census counts them by a trace formula on the adjacency matrix; its check,
-a depth-first listing of the cycles, is primitive_cycles in tests/oracles.py.
+The census counts them by a trace formula on the adjacency matrix, whose
+traces past half the longest length come from products of two lower powers,
+not from higher powers; its check, a depth-first listing of the cycles, is
+primitive_cycles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -107,7 +109,12 @@ def primitive_cycle_census(graph: CoveringGraph, max_len: int) -> Dict[int, int]
     Necklace counting: with A the 0/1 adjacency matrix, tr(A^d) counts the
     closed walks of length d, and Moebius inversion over the divisors of n
     leaves the primitive ones, n rotations each, so the count of length n is
-    (1/n) * sum over d | n of mu(n/d) * tr(A^d)."""
+    (1/n) * sum over d | n of mu(n/d) * tr(A^d).
+
+    Only A^1..A^h are formed, h = ceil(max_len/2), by h - 1 products of k x k
+    matrices: a longer trace is tr(A^(h+b)) = sum over i, j of
+    A^h[i][j] * A^b[j][i], the elementwise sum of A^h times the transpose of
+    A^b, for b <= max_len - h <= h."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     labels = graph.labels()
@@ -117,11 +124,18 @@ def primitive_cycle_census(graph: CoveringGraph, max_len: int) -> Dict[int, int]
     for a, b, _kind in graph.edges:
         adj[index[a]][index[b]] = 1
     columns = list(zip(*adj))
+    h = (max_len + 1) // 2
+    powers = [adj]  # powers[b - 1] = A^b
+    for _ in range(h - 1):
+        power = powers[-1]
+        powers.append([[sum(map(mul, row, col)) for col in columns] for row in power])
+    top = powers[-1]
     traces = [0]  # traces[d] = tr(A^d)
-    power = adj
-    for _ in range(max_len):
-        traces.append(sum(power[i][i] for i in range(size)))
-        power = [[sum(map(mul, row, col)) for col in columns] for row in power]
+    traces += [sum(power[i][i] for i in range(size)) for power in powers]
+    traces += [
+        sum(sum(map(mul, row, col)) for row, col in zip(top, zip(*power)))
+        for power in powers[: max_len - h]
+    ]
     return {
         n: sum(_moebius(n // d) * traces[d] for d in range(1, n + 1) if n % d == 0) // n
         for n in range(1, max_len + 1)

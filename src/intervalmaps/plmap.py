@@ -26,11 +26,15 @@ breakpoints and values and L, R are the lcms of the slopes' numerators and
 denominators. Refinement builds f^(n+1) as f^n o f, by pullback: on each piece
 of f, the ends of f^(n+1) are the piece's left breakpoint and the preimages of
 the ends of f^n inside the piece's image, a slice found by two bisections and
-mapped by one multiply-add per end, and f^(n+1) takes f^n's values there.
+mapped by one multiply-add per end (one add where the multiplier is +-1, as
+at a constant integer slope), and f^(n+1) takes f^n's values there.
 Fixed points are the sign changes of f^q(x) - x, found in one loop over the
 ends that carries the previous end and its value of f^q(x) - x, with no list
-of those values. They are kept as reduced (num, den) int pairs: least periods
-come from one dict over the recorded Fix(f^j) of the proper divisors j of q.
+of those values. The ends are first brought to the values' scale by one list
+comprehension, skipped when R = 1, so the loop makes one multiply per end. The
+points are kept as reduced (num, den) int pairs: least periods come from one
+dict over the recorded Fix(f^j) of the proper divisors j of q, which
+periodic_points reads in the comprehension that makes its Fractions.
 Fractions are made only where a result is returned: kernel._fraction turns a
 reduced pair into one by setting its two slots, with no gcd and no argument
 checks. The lap counts' interval graph uses the same lattice: its node ends
@@ -430,8 +434,8 @@ class PLMap:
                 f"f^{q} is the identity on [{lo}, {hi}] (itinerary {itinerary})"
             )
         if self.is_exact:
-            periods = engine.least_periods(points, q)
-            return [(_fraction(n, d), j) for (n, d), j in zip(points, periods)]
+            least = engine.least_periods(q).get
+            return [(_fraction(x[0], x[1]), least(x, q)) for x in points]
         out = self._returns(points, q)
         if len(out) < len(points):
             x = points[len(out)]
@@ -664,7 +668,9 @@ class _ExactEngine(_Engine):
         f(piece j), where f^(n+1) takes f^n's values; b_j takes f(f^n(b_j)).
         On the lattice the preimage of x over X_n is x' = B_j*L^n +
         c_j*(x - V_j*L^(n-1)) over X_(n+1), with c_j = R*L/A_j an integer,
-        and a value y over Y_n is y*R over Y_(n+1)."""
+        and a value y over Y_n is y*R over Y_(n+1). Where c_j is 1 or -1, as
+        on every piece of a constant integer slope, x' is one add or
+        subtract."""
         n, B, V, A, L, R = it.n, self.B, self.V, self.A, self.L, self.R
         Ln = L ** (n - 1)
         scale = R ** (n - 1)
@@ -699,7 +705,14 @@ class _ExactEngine(_Engine):
                 ends.reverse()
                 values.reverse()
             base = (b * L - c * u) * Ln
-            new_xs += [base + c * x for x in ends]
+            # c = L/s_j is +-1 where |s_j| = L, as on every piece of a
+            # constant integer slope: one add per end
+            if c == 1:
+                new_xs += [base + x for x in ends]
+            elif c == -1:
+                new_xs += [base - x for x in ends]
+            else:
+                new_xs += [base + c * x for x in ends]
             new_ys += values if R == 1 else [y * R for y in values]
             if len(new_xs) > cap:  # one left end per branch so far
                 raise BranchBudgetError(cap, n)
@@ -713,22 +726,27 @@ class _ExactEngine(_Engine):
         with den > 0, so equal points are equal pairs. A branch on which f^n is
         the identity is returned as an _IdentityBranch instead.
 
-        One loop over the ends after the first carries the previous end P and
-        its g0 = (f^n(P) - P) * D*sx*sy, so no list of values is built. A zero
-        end is a fixed point; a sign change between P and Q is the zero of the
-        branch's line, (Q*g0 - P*g1) / (X*(g0 - g1)); tests/oracles.py keeps
-        the two-pass form, exact_fixed_points, as the reference."""
+        With sx = L^(n-1) and sy = R^(n-1), the ends are first brought to the
+        values' scale: an end x over D*sx is x*sy over X = D*sx*sy, one list
+        of x*sy that sy = 1 skips. A value y is y*sx over X, so the loop
+        takes g = (f^n(x) - x) * X as y*sx - x*sy, one multiply per end.
+        Numerator and denominator scale together, so the reduced pairs are
+        those over D*sx. One loop over the ends after the first carries the
+        previous end P and its g0, so no list of values is built. A zero end is a fixed point; a sign change between P and Q is
+        the zero of the branch's line, (Q*g0 - P*g1) / (X*(g0 - g1));
+        tests/oracles.py keeps the two-pass form, exact_fixed_points, as the
+        reference."""
         sx, sy = self.L ** (it.n - 1), self.R ** (it.n - 1)
-        X = self.D * sx
-        xs, ys = it.xs, it.ys
+        X = self.D * sx * sy
+        xs, ys = it.xs if sy == 1 else [x * sy for x in it.xs], it.ys
         P = xs[0]
-        g0 = ys[0] * sx - P * sy
+        g0 = ys[0] * sx - P
         out: List[Tuple[int, int]] = []
         if g0 == 0:
             d = math.gcd(P, X)
             out.append((P // d, X // d))
         for Q, y in zip(islice(xs, 1, None), islice(ys, 1, None)):
-            g1 = y * sx - Q * sy
+            g1 = y * sx - Q
             if g1 > 0 and g0 < 0 or g1 < 0 and g0 > 0:
                 num, den = Q * g0 - P * g1, X * (g0 - g1)
                 if den < 0:
@@ -743,14 +761,15 @@ class _ExactEngine(_Engine):
             P, g0 = Q, g1
         return out
 
-    def least_periods(self, points: List[Tuple[int, int]], q: int) -> List[int]:
-        """Each point's least divisor j of q with the point in Fix(f^j). The
+    def least_periods(self, q: int) -> Dict[Tuple[int, int], int]:
+        """Each point of Fix(f^j) for a proper divisor j of q, mapped to the
+        least such j; a point of Fix(f^q) not in it has least period q. The
         pass has recorded every f^j with j <= q; none is an _IdentityBranch,
         since f^q is then the identity there too."""
         least: Dict[Tuple[int, int], int] = {}
         for j in reversed(_divisors(q)[:-1]):  # a smaller j overwrites
             least.update(dict.fromkeys(self.fixed[j - 1], j))
-        return [least.get(x, q) for x in points]
+        return least
 
 
 class _FloatEngine(_Engine):

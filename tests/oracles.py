@@ -4,7 +4,8 @@ Each is the plain, slow way to do a job the library does faster. Orbits and
 exact interval images step with ref_eval, which reads only a map's
 breakpoints and values; mixing seeds are laid out in Fraction arithmetic and
 their traces run to the cap; cycles are listed one by one by depth-first
-search; fixed points of f^n are counted a second way, as closed paths in
+search, and counted from every power of the adjacency matrix in turn
+(census_by_trace_formula); fixed points of f^n are counted a second way, as closed paths in
 Hofbauer's diagram of intervals (interval_diagram). Only a floating mixing
 trace evaluates through PLMap.eval, for its clamp of round-off at the
 domain's ends.
@@ -139,6 +140,57 @@ def diagram_fix_counts(m, n_max, budget=1000):
         power = nxt
         traces.append(sum(power[i][i] for i in range(size)))
     return traces
+
+
+def census_by_trace_formula(graph, max_len):
+    """Primitive cycle counts from the powers of the adjacency matrix, each
+    A^n formed as A^(n-1) times A and read by its diagonal, where
+    primitive_cycle_census forms only half of them. Closed walks of length n
+    are tr(A^n); Moebius inversion over the divisors removes repetitions,
+    and dividing by n collapses rotations.
+    """
+    labels = graph.labels()
+    index = {name: i for i, name in enumerate(labels)}
+    size = len(labels)
+    mat = [[0] * size for _ in range(size)]
+    for a, b, _ in graph.edges:
+        mat[index[a]][index[b]] += 1
+
+    def matmul(x, y):
+        return [
+            [sum(x[i][k] * y[k][j] for k in range(size)) for j in range(size)]
+            for i in range(size)
+        ]
+
+    powers = {1: mat}
+    for n in range(2, max_len + 1):
+        powers[n] = matmul(powers[n - 1], mat)
+
+    def trace(n):
+        return sum(powers[n][i][i] for i in range(size))
+
+    def moebius(n):
+        result, m = 1, n
+        d = 2
+        while d * d <= m:
+            if m % d == 0:
+                m //= d
+                if m % d == 0:
+                    return 0
+                result = -result
+            d += 1
+        if m > 1:
+            result = -result
+        return result
+
+    out = {}
+    for n in range(1, max_len + 1):
+        total = sum(
+            moebius(n // d) * trace(d) for d in range(1, n + 1) if n % d == 0
+        )
+        assert total % n == 0
+        out[n] = total // n
+    return out
 
 
 def primitive_cycles(graph, max_len):

@@ -45,6 +45,17 @@ class TestVerifyType:
         assert report.absent == (3, 5)
         assert report.excluded_odd_periods == (3, 5)
 
+    def test_excluded_periods_checked_past_q_max(self, f52):
+        """f52 has a 5-cycle, so a claim of type 7 checked to q_max = 3 may
+        exclude 3 but not 5: the census and the boundary walk run to 5. They
+        are reported up to q_max, where the boundary period 5 is None."""
+        partition = f52.markers.partition()
+        assert verify_type(f52.map, 7, 5, partition=partition).census[5] == 1
+        report = verify_type(f52.map, 7, 3, partition=partition)
+        assert report.excluded_odd_periods == (3,)
+        assert report.census == {1: 1, 2: 3, 3: 0}
+        assert set(report.boundary_periods.values()) == {None}
+
     def test_square_root_type_six(self, sqrt32):
         report = verify_type(sqrt32, 6, 12)
         assert report.verdict == "consistent"

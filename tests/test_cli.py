@@ -8,6 +8,8 @@ import os
 import re
 import runpy
 import stat
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -124,6 +126,18 @@ class TestAnalyze:
         assert lines[0] == "n,lap_count,log_ratio"
         assert lines[1].startswith("1,6,")
         assert len(lines) == 11
+
+    def test_excluded_periods_past_type_q(self, capsys):
+        """--type 3 on the p = 7 fixture excludes 3 and 5, each checked by a
+        census and a boundary walk to 5, and reports both only up to 3."""
+        assert main(["analyze", str(DATA / "map_p7_d0_lam2.json"), "--type", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)["type"]
+        assert report["excluded_odd_periods"] == [3, 5]
+        assert report["census"] == {"1": 1, "2": 3, "3": 0}
+        assert list(report["boundary_periods"]) == [
+            "0/1", "1/1", "1/2", "1/4", "11/32", "3/4", "3/8", "5/16", "53/64"]
+        assert set(report["boundary_periods"].values()) == {None}
+        assert (report["verdict"], report["absent"]) == ("consistent", [3])
 
     def test_graph_built_once(self, tmp_path, capsys, monkeypatch):
         """With --type, the DOT comes from the graph the type check built for
@@ -558,6 +572,25 @@ class TestSweep:
         assert main(["sweep", "--lambda", 'a"b', "--out-dir", str(out_dir)]) == 2
         rows = (out_dir / "summary.csv").read_text().splitlines()[1:]
         assert rows == ['3,0,"a""b",,,"error: could not convert string to float: \'a""b\'",']
+
+
+def test_cli_import_loads_no_pool():
+    """A fresh import of the CLI leaves concurrent.futures.process and
+    multiprocessing unloaded: sweep imports the pool only when it starts one,
+    so no other command pays for them in start-up time or memory. It runs in
+    a new interpreter, since this one may have loaded them already."""
+    import intervalmaps
+
+    code = (
+        "import sys, intervalmaps.cli; "
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
+        "if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(intervalmaps.__file__).parent.parent)}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout == "[]\n"
 
 
 class TestPlot:

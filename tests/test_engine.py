@@ -345,6 +345,21 @@ def test_pullback_matches_cuts(pullback_maps, name):
     assert_pullback_matches_cuts(fresh(pullback_maps[name]), 12, most=30_000)
 
 
+def test_both_integer_slope_sides_covered(pullback_maps):
+    """refine maps the ends of a piece with c = R*L/A_j = +-1 by one add and
+    any other c by a multiply-add, and fixed_points skips the rescaling of
+    the ends when R = 1: test_pullback_matches_cuts runs pieces of both
+    kinds (slope 3 against 17/10), and test_scan_matches_two_passes maps of
+    both kinds (slope 2 against 17/10)."""
+    multipliers = set()
+    for m in pullback_maps.values():
+        e = m._engine
+        multipliers |= {abs(e.R * e.L // a) for a in e.A}
+    assert 1 in multipliers and max(multipliers) > 1
+    scales = {load_document(str(path)).map._engine.R for path in RATIONAL_DOCS}
+    assert 1 in scales and max(scales) > 1
+
+
 @ENGINES_AGREE
 @given(exact_maps())
 def test_pullback_matches_cuts_on_random_maps(m):
