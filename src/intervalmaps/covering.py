@@ -5,16 +5,16 @@ covering the domain. The graph has an arrow A -> B whenever the image of A
 meets the interior of B; the arrow is full when the image covers all of B,
 partial otherwise. Primitive cycles (closed edge-walks not obtained by
 repeating a shorter one, counted up to rotation) certify absence of periods.
-The census counts them by a trace formula on the adjacency matrix, whose
-traces past half the longest length come from products of two lower powers,
-not from higher powers; its check, a depth-first listing of the cycles, is
+The census counts them by a trace formula on the 0/1 adjacency matrix, whose
+powers it steps row by row over each vertex's successors, O(|E| * k) per
+length for k vertices; its check, a depth-first listing of the cycles, is
 primitive_cycles in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import add
 from typing import Dict, Iterable, List, Tuple
 
 from .kernel import _within
@@ -111,31 +111,30 @@ def primitive_cycle_census(graph: CoveringGraph, max_len: int) -> Dict[int, int]
     leaves the primitive ones, n rotations each, so the count of length n is
     (1/n) * sum over d | n of mu(n/d) * tr(A^d).
 
-    Only A^1..A^h are formed, h = ceil(max_len/2), by h - 1 products of k x k
-    matrices: a longer trace is tr(A^(h+b)) = sum over i, j of
-    A^h[i][j] * A^b[j][i], the elementwise sum of A^h times the transpose of
-    A^b, for b <= max_len - h <= h."""
+    From A^0 = I, row i of A^(n+1) is the sum of the rows l of A^n over the
+    arrows i -> l (that row itself when there is one), and tr(A^n) is read
+    off its diagonal: O(max_len * |E| * k) for k vertices. A repeated arrow
+    is one successor, as it is one 1 in A; a vertex with no arrow out has a
+    zero row."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     labels = graph.labels()
     index = {name: i for i, name in enumerate(labels)}
     size = len(labels)
-    adj = [[0] * size for _ in labels]
+    successors = [set() for _ in labels]
     for a, b, _kind in graph.edges:
-        adj[index[a]][index[b]] = 1
-    columns = list(zip(*adj))
-    h = (max_len + 1) // 2
-    powers = [adj]  # powers[b - 1] = A^b
-    for _ in range(h - 1):
-        power = powers[-1]
-        powers.append([[sum(map(mul, row, col)) for col in columns] for row in power])
-    top = powers[-1]
+        successors[index[a]].add(index[b])
+    zero = [0] * size
+    rows = [zero[:i] + [1] + zero[i + 1 :] for i in range(size)]  # A^0
     traces = [0]  # traces[d] = tr(A^d)
-    traces += [sum(power[i][i] for i in range(size)) for power in powers]
-    traces += [
-        sum(sum(map(mul, row, col)) for row, col in zip(top, zip(*power)))
-        for power in powers[: max_len - h]
-    ]
+    for _ in range(max_len):
+        power, rows = rows, []
+        for succ in successors:
+            row = zero
+            for l in succ:
+                row = power[l] if row is zero else list(map(add, row, power[l]))
+            rows.append(row)
+        traces.append(sum(row[i] for i, row in enumerate(rows)))
     return {
         n: sum(_moebius(n // d) * traces[d] for d in range(1, n + 1) if n % d == 0) // n
         for n in range(1, max_len + 1)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Iterable, List, Tuple, Union
 
 Scalar = Union[Fraction, float]
 
@@ -63,6 +63,18 @@ def _fraction(num: int, den: int) -> Fraction:
     x._numerator = num
     x._denominator = den
     return x
+
+
+def _fractions(pairs: Iterable[Tuple[int, int]]) -> List[Fraction]:
+    """[_fraction(num, den) for num, den in pairs], with no call per pair."""
+    new = object.__new__
+    out = []
+    for num, den in pairs:
+        x = new(Fraction)
+        x._numerator = num
+        x._denominator = den
+        out.append(x)
+    return out
 
 
 def is_exact(x: Scalar) -> bool:

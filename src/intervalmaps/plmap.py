@@ -34,16 +34,16 @@ of those values. The ends are first brought to the values' scale by one list
 comprehension, skipped when R = 1, so the loop makes one multiply per end. The
 points are kept as reduced (num, den) int pairs: least periods come from one
 dict over the recorded Fix(f^j) of the proper divisors j of q, which
-periodic_points reads in the comprehension that makes its Fractions.
-Fractions are made only where a result is returned: kernel._fraction turns a
-reduced pair into one by setting its two slots, with no gcd and no argument
-checks. The lap counts' interval graph uses the same lattice: its node ends
-are ints over the single scale D*R^(n_max-1), each stepped by f directly with
-no memo of images; only the cut images are computed once. Points and
-interval images off that scale are reduced int pairs, which find their piece
-by bisection over the int breakpoint numerators: exact mixing traces and
-return times step on them directly, and image wraps the same step. Every
-division on the lattice is exact, and a remainder raises ArithmeticError.
+periodic_points maps over the points. Fractions are made only where a result
+is returned, by setting their two slots with no gcd and no argument checks:
+kernel._fractions turns a list of reduced pairs into Fractions in one loop.
+The lap counts' interval graph uses the same lattice: its node ends are ints
+over the single scale D*R^(n_max-1), each stepped by f directly with no memo
+of images; only the cut images are computed once. Points and interval
+images off that scale are reduced int pairs, which find their piece by
+bisection over the int breakpoint numerators: exact mixing traces and return
+times step on them directly, and image wraps the same step. Every division on
+the lattice is exact, and a remainder raises ArithmeticError.
 Floating mode carries each branch's slope and offset in binary64, cuts it
 where its image crosses a breakpoint, and records Fix(f^n) as an array('d').
 Least periods are return times within FLOAT_TOL from one walk loop over all
@@ -65,11 +65,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import islice, repeat
 from operator import ne
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .kernel import FLOAT_TOL, Scalar, _fraction, _tolerance, as_scalar, is_exact
+from .kernel import FLOAT_TOL, Scalar, _fractions, _tolerance, as_scalar, is_exact
 
 # Duplicate float fixed points at shared branch ends; the float engine's
 # results depend on this value bit for bit.
@@ -128,8 +128,10 @@ class Interval:
         lo, hi = as_scalar(self.lo), as_scalar(self.hi)
         if lo > hi:
             raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        if lo is not self.lo:  # an int end, made a Fraction
+            object.__setattr__(self, "lo", lo)
+        if hi is not self.hi:
+            object.__setattr__(self, "hi", hi)
 
     @property
     def is_degenerate(self) -> bool:
@@ -143,11 +145,17 @@ class Interval:
         return self.lo <= x <= self.hi
 
     def encloses(self, other: "Interval", slack=0) -> bool:
-        """self covers other (up to slack on each side)."""
+        """self covers other, up to slack on each side; a slack of 0 (an exact
+        map's tol) compares the ends directly."""
+        if not slack:
+            return self.lo <= other.lo and self.hi >= other.hi
         return self.lo <= other.lo + slack and self.hi >= other.hi - slack
 
     def meets_interior(self, other: "Interval", margin=0) -> bool:
-        """self intersects the open interior of other (margin shrinks it)."""
+        """self meets the open interior of other, shrunk by margin; a margin of
+        0 (an exact map's tol) compares the ends directly."""
+        if not margin:
+            return self.hi > other.lo and self.lo < other.hi
         return self.hi > other.lo + margin and self.lo < other.hi - margin
 
 
@@ -252,7 +260,7 @@ class PLMap:
             n0, d0, n1, d1 = self._engine.image(
                 (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
             )
-            return Interval(_fraction(n0, d0), _fraction(n1, d1))
+            return Interval(*_fractions(((n0, d0), (n1, d1))))
         vals = [self.eval(lo), self.eval(hi)]
         start = bisect_right(self.breakpoints, lo)
         end = bisect_left(self.breakpoints, hi)
@@ -435,7 +443,7 @@ class PLMap:
             )
         if self.is_exact:
             least = engine.least_periods(q).get
-            return [(_fraction(x[0], x[1]), least(x, q)) for x in points]
+            return list(zip(_fractions(points), map(least, points, repeat(q))))
         out = self._returns(points, q)
         if len(out) < len(points):
             x = points[len(out)]

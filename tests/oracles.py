@@ -144,8 +144,9 @@ def diagram_fix_counts(m, n_max, budget=1000):
 
 def census_by_trace_formula(graph, max_len):
     """Primitive cycle counts from the powers of the adjacency matrix, each
-    A^n formed as A^(n-1) times A and read by its diagonal, where
-    primitive_cycle_census forms only half of them. Closed walks of length n
+    A^n formed as the dense product A^(n-1) times A and read by its diagonal,
+    where primitive_cycle_census steps rows over successor lists. An arrow
+    listed twice counts twice here, once there. Closed walks of length n
     are tr(A^n); Moebius inversion over the divisors removes repetitions,
     and dividing by n collapses rotations.
     """

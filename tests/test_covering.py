@@ -10,6 +10,7 @@ from intervalmaps import (
     CoveringGraph,
     Interval,
     build_covering_graph,
+    odd_type_map,
     primitive_cycle_census,
 )
 from oracles import census_by_trace_formula, primitive_cycles
@@ -151,13 +152,43 @@ def digraphs(draw):
 @given(digraphs(), st.integers(1, 13))
 def test_census_counts_searched_cycles(graph, max_len):
     """The census against the depth-first listing up to length 10, and at
-    every length against plain repeated-product traces, so the half-power
-    census is checked at odd and even lengths past its split (the listing
+    every length against plain repeated-product traces, so the row
+    recurrence is checked to length 13, on sinks and loops too (the listing
     takes about 20 times as long at 13)."""
     census = primitive_cycle_census(graph, max_len)
     searched = census_by_search(graph, min(max_len, 10))
     assert {n: census[n] for n in searched} == searched
     assert census == census_by_trace_formula(graph, max_len)
+
+
+def test_census_counts_a_repeated_arrow_once():
+    """An arrow listed twice is one 1 in the adjacency matrix, and a vertex
+    with no arrow out has a zero row: the census equals that of the graph
+    listed without the repeat. census_by_trace_formula counts a repeat
+    twice, so the depth-first listing is the check here."""
+    vertices = tuple((f"v{i}", Interval(F(i), F(i + 1))) for i in range(4))
+    arrows = [("v0", "v0"), ("v0", "v1"), ("v1", "v0"), ("v1", "v2"),
+              ("v2", "v0"), ("v2", "v3")]  # v3 is a sink
+    plain = CoveringGraph(vertices, tuple((a, b, EDGE_FULL) for a, b in arrows))
+    repeated = CoveringGraph(vertices, plain.edges + (("v1", "v2", EDGE_FULL),))
+    census = primitive_cycle_census(repeated, 9)
+    assert census == primitive_cycle_census(plain, 9) == census_by_search(plain, 9)
+    assert census[1] == 1 and census[3] == 2
+
+
+@pytest.mark.parametrize("p", [21, 31, 51])
+def test_census_at_large_p(p):
+    """The census at large p: on the covering graph of the type-p map at
+    slope 283/200 there is no cycle of odd length from 3 to p - 2, and there
+    are cycles of length p. The repeated-product oracle agrees at p = 21 and
+    31; at 51 its pure-Python products are slow, so it is skipped."""
+    built = odd_type_map(p, F(283, 200))
+    graph = build_covering_graph(built.map, built.markers.partition())
+    census = primitive_cycle_census(graph, p)
+    assert [census[n] for n in range(3, p, 2)] == [0] * ((p - 3) // 2)
+    assert census[p] > 0
+    if p < 51:
+        assert census == census_by_trace_formula(graph, p)
 
 
 class TestDot:

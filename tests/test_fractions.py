@@ -1,11 +1,12 @@
 """Fractions made only where a result is returned, from reduced int pairs.
 
 kernel._fraction builds a Fraction from a reduced pair without
-Fraction.__new__. The first test checks that it builds the Fraction that
-Fraction(n, d) builds; it needs neither pytest nor hypothesis, so it runs
-under every interpreter the package supports:
+Fraction.__new__, and kernel._fractions a list of them in one loop. The first
+two tests check that they build the Fraction that Fraction(n, d) builds; they
+need neither pytest nor hypothesis, so they run under every interpreter the
+package supports:
 
-    PYTHONPATH=src:tests python -c "import test_fractions as t; t.test_fraction_from_reduced_pair()"
+    PYTHONPATH=src:tests python -c "import test_fractions as t; t.test_fraction_from_reduced_pair(); t.test_fractions_from_reduced_pairs()"
 
 The others count Fraction.__new__ calls, so that a Fraction per periodic
 point or per mixing seed cannot come back unnoticed.
@@ -16,7 +17,7 @@ import random
 from fractions import Fraction
 
 from intervalmaps import verify_mixing
-from intervalmaps.kernel import _fraction, as_scalar, scalar_to_str
+from intervalmaps.kernel import _fraction, _fractions, as_scalar, scalar_to_str
 
 
 def _reduced_pairs(count, seed=15):
@@ -46,6 +47,18 @@ def test_fraction_from_reduced_pair():
         assert x < ref + 1 and x >= ref and float(x) == float(ref)
         if n:
             assert 1 / x == 1 / ref
+
+
+def test_fractions_from_reduced_pairs():
+    pairs = _reduced_pairs(500)
+    xs = _fractions(pairs)
+    assert len(xs) == len(pairs)
+    for x, (n, d) in zip(xs, pairs):
+        ref = Fraction(n, d)
+        assert type(x) is Fraction
+        assert (x.numerator, x.denominator) == (n, d)
+        assert x == ref and hash(x) == hash(ref) and str(x) == str(ref)
+    assert _fractions(iter(pairs)) == xs and _fractions([]) == []
 
 
 def _count_fraction_new(monkeypatch):

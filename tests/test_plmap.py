@@ -14,6 +14,7 @@ from intervalmaps import (
     odd_type_map,
     stefan_map,
 )
+from intervalmaps.kernel import FLOAT_TOL
 from oracles import iterate
 
 F = Fraction
@@ -64,6 +65,39 @@ class TestValidation:
     def test_ints_coerced_exact(self):
         m = PLMap((0, 1, 2), (2, 0, 1))
         assert m.is_exact
+
+
+class TestInterval:
+    """Ends touching, nested, disjoint, overlapping and degenerate."""
+
+    ENDS = [
+        (0, 1), (1, 2), (0, 2), (F(1, 4), F(3, 4)), (2, 3), (1, 1), (F(1, 2), F(3, 2)),
+    ]
+
+    @pytest.mark.parametrize("kind", [F, float])
+    def test_zero_margin_matches_formula(self, kind):
+        ivs = [Interval(kind(lo), kind(hi)) for lo, hi in self.ENDS]
+        for a in ivs:
+            for b in ivs:
+                assert a.meets_interior(b, 0) is (a.hi > b.lo + 0 and a.lo < b.hi - 0)
+                assert a.encloses(b, 0) is (a.lo <= b.lo + 0 and a.hi >= b.hi - 0)
+
+    def test_nonzero_margin_kept(self):
+        a, b = Interval(0.0, 1.0), Interval(1.0 - 1e-10, 2.0)
+        assert a.meets_interior(b, 0) and not a.meets_interior(b, FLOAT_TOL)
+        assert not b.encloses(Interval(0.9, 2.0), 0)
+        wider = Interval(1.0, 2.0 + 1e-10)
+        assert b.encloses(wider, FLOAT_TOL) and not b.encloses(wider, 0)
+
+    def test_end_types(self):
+        iv = Interval(1, 2)
+        assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
+        assert (iv.lo, iv.hi) == (1, 2)
+        half = F(1, 2)
+        iv = Interval(half, 0.75)
+        assert iv.lo is half and type(iv.hi) is float and iv.hi == 0.75
+        with pytest.raises(ValueError):
+            Interval(F(1), 0.5)
 
 
 class TestEval:
