@@ -22,7 +22,7 @@ from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .covering import CoveringGraph, build_covering_graph, primitive_cycle_census
-from .kernel import FLOAT_TOL, Scalar, _fraction, as_scalar, is_exact, scalar_to_str
+from .kernel import FLOAT_TOL, Scalar, _ratio, as_scalar, is_exact, scalar_to_str
 from .plmap import DEFAULT_BRANCH_CAP, BranchBudgetError, Interval, PLMap
 from .sharkovskii import SharkovskiiValue, _key as _sharkovskii_key, expected_period_set
 
@@ -175,8 +175,10 @@ def verify_type(
 
 
 def _boundary_periods(f, partition, q_max) -> Dict[str, Optional[int]]:
-    points = {pt for _name, iv in partition for pt in (iv.lo, iv.hi)}
-    return {scalar_to_str(pt): f.return_time(pt, q_max) for pt in sorted(points)}
+    """The return time of each partition end; on an exact map the ends on
+    one cycle share one walk of it (PLMap.return_times)."""
+    points = sorted({pt for _name, iv in partition for pt in (iv.lo, iv.hi)})
+    return dict(zip(map(scalar_to_str, points), f.return_times(points, q_max)))
 
 
 # ---------------------------------------------------------------- entropy
@@ -338,15 +340,10 @@ def _exact_seeds(dom: Interval, w: Fraction, grid: int) -> List[Interval]:
     M = math.lcm(lo.denominator, hi.denominator, step, half.denominator)
     a, b = lo.numerator * (M // lo.denominator), hi.numerator * (M // hi.denominator)
     unit, h = span.numerator * (M // step), half.numerator * (M // half.denominator)
-
-    def end(x: int) -> Fraction:
-        g = math.gcd(x, M)
-        return _fraction(x // g, M // g)
-
     seeds = []
     for i in range(grid):
         center = a + (2 * i + 1) * unit
-        seeds.append(Interval(end(max(a, center - h)), end(min(b, center + h))))
+        seeds.append(Interval(_ratio(max(a, center - h), M), _ratio(min(b, center + h), M)))
     return seeds
 
 

@@ -25,6 +25,7 @@ from typing import Dict, List, Tuple
 
 from .covering import check_partition
 from .kernel import (
+    FLOAT_TOL,
     Scalar,
     _require_odd,
     _tolerance,
@@ -84,7 +85,12 @@ class ConstructionParams:
         s = as_scalar(self.slope)
         object.__setattr__(self, "slope", s)
         # s > 0 first: the slope polynomial also vanishes at -1
-        if not (s > 0 and eval_slope_poly(self.p, s) >= -_tolerance(is_exact(s))):
+        if is_exact(s):  # the sign of b^p times the slope polynomial at a/b
+            p, a, b = self.p, s.numerator, s.denominator
+            ok = a > 0 and a**p - 2 * a ** (p - 2) * b * b - b**p >= 0
+        else:
+            ok = s > 0 and eval_slope_poly(self.p, s) >= -FLOAT_TOL
+        if not ok:
             raise SlopeBelowMinimumError(self.p, s)
 
     @property

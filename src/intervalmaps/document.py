@@ -3,11 +3,13 @@
 The on-disk form is versioned ("interval-map/1"), has sorted keys, and writes
 every scalar through the canonical text form (lowest-terms 'num/den' for
 rationals, shortest round-trip decimals for floats), so serializing a loaded
-document reproduces it byte for byte and documents diff cleanly. A loaded
-document is checked as a construction: its "tol" must be FLOAT_TOL, its
-"mode" must name the exactness of its map and slope, "p" and "d" must be JSON
-integers and "rescale" a JSON bool, its params pass ConstructionParams and its
-markers are re-verified against its map; it keeps that map and those Markers.
+document reproduces it byte for byte. A loaded document is checked as a
+construction: its "tol" must be FLOAT_TOL, its "mode" must name the
+exactness of its map and slope, "p" and "d" must be JSON integers and
+"rescale" a JSON bool, its params pass ConstructionParams and its markers
+are re-verified against its map. Rational texts become Fractions by one gcd
+each (kernel.scalar_from_str), with no Fraction arithmetic, and the exact
+map, the slope check and the marker orbit run on ints from there.
 document_for is the one builder from ConstructionParams to a document.
 """
 
@@ -83,11 +85,8 @@ class MapDocument:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MapDocument":
-        """Parse a document and check it as a construction: its tol is
-        FLOAT_TOL, its params have their JSON types and pass
-        ConstructionParams, its breakpoints form a map whose exactness its
-        mode and slope name, and its markers, if any, belong to d = 0 and pass
-        verify_markers."""
+        """Parse a document and check it as a construction (see the module
+        docstring); markers, if any, must belong to d = 0."""
         fmt = obj.get("format") if isinstance(obj, dict) else None
         if fmt != FORMAT_ID:
             raise ValueError(f"unsupported document format {fmt!r}")
@@ -152,12 +151,13 @@ def _markers_from_dict(obj: dict) -> Markers:
     intervals = {}
     for name, (lo, hi) in obj["intervals"].items():
         lo, hi = scalar_from_str(lo), scalar_from_str(hi)
-        if lo > hi:
+        try:
+            intervals[name] = Interval(lo, hi)  # which refuses lo > hi
+        except ValueError:
             raise ValueError(
                 f"marker interval {name} = [{scalar_to_str(lo)}, "
                 f"{scalar_to_str(hi)}] has its ends out of order"
-            )
-        intervals[name] = Interval(lo, hi)
+            ) from None
     orbit = tuple(scalar_from_str(x) for x in obj["orbit"])
     return Markers(orbit, scalar_from_str(obj["t"]), intervals)
 

@@ -4,6 +4,9 @@ Scalars are either stdlib rationals (arbitrary-precision, kept in lowest terms
 with positive denominator by construction) or finite binary64 floats.
 Arithmetic between two rationals stays rational; anything touching a float
 becomes float, never the other way around, so exactness is visible in the type.
+
+Parsed and lattice-made rationals are built by _fraction from a reduced int
+pair, with no Fraction.__new__ (_ratio reduces a pair by one gcd first).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ def as_scalar(x) -> Scalar:
     if isinstance(x, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(x, int):
-        return Fraction(x)
+        return _fraction(int(x), 1)
     if isinstance(x, float):
         if not math.isfinite(x):
             raise ValueError(f"scalar must be finite, got {x!r}")
@@ -63,6 +66,15 @@ def _fraction(num: int, den: int) -> Fraction:
     x._numerator = num
     x._denominator = den
     return x
+
+
+def _ratio(num: int, den: int) -> Fraction:
+    """num/den for ints with den != 0, reduced by one gcd with its sign moved
+    to the numerator, made by _fraction."""
+    if den < 0:
+        num, den = -num, -den
+    g = math.gcd(num, den)
+    return _fraction(num // g, den // g)
 
 
 def _fractions(pairs: Iterable[Tuple[int, int]]) -> List[Fraction]:
@@ -100,14 +112,16 @@ def scalar_to_str(x: Scalar) -> str:
 
 
 def scalar_from_str(text: str) -> Scalar:
-    """Parse the canonical text form; a '/' marks an exact rational."""
+    """Parse the canonical text form; a '/' marks an exact rational, which any
+    int() text on each side may spell: it is reduced by one gcd and its sign
+    moved to the numerator, so '2/4' is 1/2 and '1/-2' is -1/2."""
     t = text.strip()
     if "/" in t:
         num, _, den = t.partition("/")
         num, den = int(num), int(den)
         if den == 0:
             raise ValueError(f"scalar {t!r} has a zero denominator")
-        return Fraction(num, den)
+        return _ratio(num, den)
     return as_scalar(float(t))
 
 

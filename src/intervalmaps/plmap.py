@@ -1,57 +1,41 @@
 """Continuous piecewise-linear self-maps of a compact interval.
 
-Evaluation and interval images are exact over rationals. Periodic points of f^q
-come from its affine branches: the intervals on which f^q is affine. One
-forward pass per map builds f^1, f^2, ... once each and records, for every
-f^n, the branch count and Fix(f^n) (in floating mode also the lap count).
-periodic_points(q) and floating lap_growth(n) refine past the record through
-branches_of_iterate, and read a q already recorded after checking the cap
-against the recorded counts. Under any call order, the first f^n over the
-branch cap raises BranchBudgetError(cap, n - 1).
+A map whose breakpoints and values are all rational is exact. Its
+constructor puts them on an integer lattice (D, B, V), ints over D, the lcm
+of their denominators, and the map is validated, sloped, evaluated and
+iterated there: Fractions are made only where a result is returned, by
+kernel._fraction(s) from reduced int pairs, with no Fraction.__new__ and no
+Fraction arithmetic. A map with a float scalar is floating and keeps binary64
+arithmetic throughout.
 
-Lap counts of iterates (hence the entropy estimate) need no branches in
-rational mode. L(f^n) is 1 + the number of points whose orbit meets a turning
-point of f within n steps, and the branch count of f^n is the same count for
-all interior breakpoints. Both are sums over a finite graph of open intervals
-whose ends are forward images of breakpoints, so they cost polynomial time in
-n (the kneading-style count of Block, Keesling, Li and Peterson, 1989). The
-branch cap bounds that computed branch count, as it bounds the branches the
-pass builds. Floating mode counts laps in the branch pass, whose rounding its
-results depend on.
+Periodic points of f^q come from its affine branches: the intervals on which
+f^q is affine. One forward pass per map builds f^1, f^2, ... once each and
+records, for every f^n, the branch count and Fix(f^n) (floating: also the
+lap count). A q past the record refines on; a q already passed checks the
+branch cap against the recorded counts. Under any call order, the first f^n
+over the cap raises BranchBudgetError(cap, n - 1).
 
-In rational mode an iterate is one sequence of plain ints: f^n is continuous,
-so its N branches share N + 1 ends, kept as numerators over D*L^(n-1) beside
-their f^n values over D*R^(n-1), where D is the lcm of the denominators of the
-breakpoints and values and L, R are the lcms of the slopes' numerators and
-denominators. Refinement builds f^(n+1) as f^n o f, by pullback: on each piece
-of f, the ends of f^(n+1) are the piece's left breakpoint and the preimages of
-the ends of f^n inside the piece's image, a slice found by two bisections and
-mapped by one multiply-add per end (one add where the multiplier is +-1, as
-at a constant integer slope), and f^(n+1) takes f^n's values there.
-Fixed points are the sign changes of f^q(x) - x, found in one loop over the
-ends that carries the previous end and its value of f^q(x) - x, with no list
-of those values. The ends are first brought to the values' scale by one list
-comprehension, skipped when R = 1, so the loop makes one multiply per end. The
-points are kept as reduced (num, den) int pairs: least periods come from one
-dict over the recorded Fix(f^j) of the proper divisors j of q, which
-periodic_points maps over the points. Fractions are made only where a result
-is returned, by setting their two slots with no gcd and no argument checks:
-kernel._fractions turns a list of reduced pairs into Fractions in one loop.
-The lap counts' interval graph uses the same lattice: its node ends are ints
-over the single scale D*R^(n_max-1), each stepped by f directly with no memo
-of images; only the cut images are computed once. Points and interval
-images off that scale are reduced int pairs, which find their piece by
-bisection over the int breakpoint numerators: exact mixing traces and return
-times step on them directly, and image wraps the same step. Every division on
-the lattice is exact, and a remainder raises ArithmeticError.
+Exact lap counts need no branches. L(f^n) is 1 + the number of points whose
+orbit meets a turning point of f within n steps, and the branch count of f^n
+is the same count for all interior breakpoints. Both are sums over a finite
+graph of open intervals whose ends are forward images of breakpoints, so
+they cost polynomial time in n (the kneading-style count of Block, Keesling,
+Li and Peterson, 1989); the branch cap bounds that computed count.
+
+An exact iterate is one sequence of ints: f^n's N branches share N + 1 ends,
+kept as numerators over D*L^(n-1) beside their f^n values over D*R^(n-1),
+where L and R are the lcms of the slopes' numerators and denominators.
+f^(n+1) = f^n o f is built by pullback, and Fix(f^n) is one sign-change scan
+of f^n(x) - x over the ends, kept as reduced int pairs; least periods come
+from the recorded Fix(f^j) of the proper divisors j of q. A point off that
+scale (eval, return times, mixing traces, images) is a reduced int pair,
+stepped by _ExactEngine.point. Every division on the lattice is exact, and a
+remainder raises ArithmeticError.
+
 Floating mode carries each branch's slope and offset in binary64, cuts it
-where its image crosses a breakpoint, and records Fix(f^n) as an array('d').
-Least periods are return times within FLOAT_TOL from one walk loop over all
-of Fix(f^q), _returns, which return_time also runs for a single point.
-Scalar steps of f have one piece lookup: PLMap.eval and each step of that walk
-find the piece's (breakpoint, value, slope) in one table, _pieces, whose last
-entry is the domain's right end. No itinerary is stored; an error that names
-one recomputes it from a point's orbit.
+where its image crosses a breakpoint, and records Fix(f^n) as an array('d');
+least periods are return times within FLOAT_TOL, walked by _returns over a
+table of (breakpoint, value, slope) per piece, _pieces.
 
 Maps are immutable and results are sorted and deterministic; the record is a
 cache that never changes what a call returns.
@@ -69,7 +53,9 @@ from itertools import islice, repeat
 from operator import ne
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .kernel import FLOAT_TOL, Scalar, _fractions, _tolerance, as_scalar, is_exact
+from .kernel import (
+    FLOAT_TOL, Scalar, _fraction, _fractions, _ratio, _tolerance, as_scalar, is_exact
+)
 
 # Duplicate float fixed points at shared branch ends; the float engine's
 # results depend on this value bit for bit.
@@ -187,36 +173,50 @@ class PLMap:
     values: Tuple[Scalar, ...]
 
     def __post_init__(self):
-        bps = tuple(as_scalar(b) for b in self.breakpoints)
-        vals = tuple(as_scalar(v) for v in self.values)
+        bps = tuple(map(as_scalar, self.breakpoints))
+        vals = tuple(map(as_scalar, self.values))
         if len(bps) < 2:
             raise ValueError("a map needs at least two breakpoints")
         if len(bps) != len(vals):
             raise ValueError("breakpoints and values must have equal length")
-        for a, b in zip(bps, bps[1:]):
+        # all rational: the lattice (D, B, V), breakpoints and values as ints
+        # over D, the lcm of their denominators, compared in their place
+        lattice, xs, ys = None, bps, vals
+        if all(map(is_exact, bps + vals)):
+            D = math.lcm(*(x.denominator for x in bps + vals))
+            xs = tuple(b.numerator * (D // b.denominator) for b in bps)
+            ys = tuple(v.numerator * (D // v.denominator) for v in vals)
+            lattice = (D, xs, ys)
+        for j, (a, b) in enumerate(zip(xs, xs[1:])):
             if not a < b:
-                raise ValueError(f"breakpoints not strictly increasing at {a}, {b}")
-        if min(vals) < bps[0] or max(vals) > bps[-1]:
+                raise ValueError(f"breakpoints not strictly increasing at {bps[j]}, {bps[j + 1]}")
+        if min(ys) < xs[0] or max(ys) > xs[-1]:
             raise ValueError("values leave the domain; not a self-map")
-        for j, (u, v) in enumerate(zip(vals, vals[1:])):
+        for j, (u, v) in enumerate(zip(ys, ys[1:])):
             if u == v:
                 raise ValueError(f"constant piece at index {j} is not supported")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_lattice", lattice)
 
     # -- basic geometry ----------------------------------------------------
 
     @cached_property
     def slopes(self) -> Tuple[Scalar, ...]:
-        bps, vals = self.breakpoints, self.values
-        return tuple(
-            (vals[j + 1] - vals[j]) / (bps[j + 1] - bps[j])
-            for j in range(len(bps) - 1)
-        )
+        """Each piece's slope; on an exact map the lattice differences
+        (V[j+1] - V[j]) / (B[j+1] - B[j]), reduced by one gcd each."""
+        if self._lattice is None:
+            bps, vals = self.breakpoints, self.values
+            return tuple(
+                (vals[j + 1] - vals[j]) / (bps[j + 1] - bps[j])
+                for j in range(len(bps) - 1)
+            )
+        _, B, V = self._lattice
+        return tuple(_ratio(v1 - v0, b1 - b0) for b0, b1, v0, v1 in zip(B, B[1:], V, V[1:]))
 
-    @cached_property
+    @property
     def is_exact(self) -> bool:
-        return all(is_exact(x) for x in self.breakpoints + self.values)
+        return self._lattice is not None
 
     @property
     def tol(self) -> Scalar:
@@ -240,10 +240,13 @@ class PLMap:
         raise ValueError(f"point {x!r} outside domain [{lo}, {hi}]")
 
     def eval(self, x: Scalar) -> Scalar:
-        """Value at x; exact for rational inputs. Breakpoints and the right
-        end return their stored value, read from the same _pieces entry as
-        the interior points of their piece."""
+        """Value at x; exact for rational inputs, which an exact map steps on
+        the lattice as a reduced int pair (_ExactEngine.point). Otherwise
+        breakpoints and the right end return their stored value, read from
+        the same _pieces entry as the interior points of their piece."""
         x = self._clamp(as_scalar(x))
+        if type(x) is Fraction and self._lattice is not None:
+            return _fraction(*self._engine.point(x.numerator, x.denominator))
         b, v, s = self._pieces[bisect_right(self.breakpoints, x) - 1]
         return v if x == b else v + (x - b) * s
 
@@ -310,26 +313,20 @@ class PLMap:
     def lap_growth(
         self, n_max: int, branch_cap: int = DEFAULT_BRANCH_CAP
     ) -> List[int]:
-        """Lap counts L(1..n_max) of the iterates f^n.
-
-        L(n) counts the maximal monotone runs of f^n. In rational mode it is
-        1 + the number of points whose orbit meets a turning point of f within
-        n steps, and the branch count of f^n is the same count for all interior
-        breakpoints; both come from the interval graph of _hits, without
-        building any branch. Floating mode reads the laps the branch pass
-        records, going on with branches_of_iterate past the last iterate
-        recorded. The first n whose branch count exceeds the cap raises
-        BranchBudgetError naming n - 1 as the largest completed iterate.
-        """
+        """Lap counts L(1..n_max) of the iterates f^n, the maximal monotone
+        runs of f^n. An exact map counts them and the branch counts with
+        _hits, cut at the turning points (where the engine's A changes sign)
+        and at every interior breakpoint; a floating one reads the branch
+        pass. The first n whose branch count exceeds the cap raises
+        BranchBudgetError naming n - 1 as the largest completed iterate."""
         if n_max < 1:
             raise ValueError("n_max must be >= 1")
         if not self.is_exact:
             return self._recorded(n_max, branch_cap).laps[:n_max]
-        inner = self.breakpoints[1:-1]
-        rising = [s > 0 for s in self.slopes]
-        turning = tuple(b for b, u, w in zip(inner, rising, rising[1:]) if u != w)
+        inner, A = self.breakpoints[1:-1], self._engine.A
+        turning = tuple(b for b, u, w in zip(inner, A, A[1:]) if (u > 0) != (w > 0))
         counts = self._hits(inner, n_max)
-        laps = counts if turning == inner else self._hits(turning, n_max)
+        laps = counts if len(turning) == len(inner) else self._hits(turning, n_max)
         _check_budget(counts, branch_cap)
         return laps
 
@@ -338,24 +335,15 @@ class PLMap:
         within n steps, for n = 1..n_max.
 
         cuts is a sorted tuple of interior breakpoints holding every turning
-        point, so f maps each open piece between consecutive cuts one-to-one
-        onto an open interval. The nodes of the graph are open intervals, the
-        root being the open domain; a node's children are the images of its
-        pieces between the cuts inside it, and equal intervals share one node.
-        With C_0 = 0 and C_k(x) = |cuts in x| + sum of C_(k-1) over x's
-        children, C_k(x) counts the points of x whose orbit meets cuts within
-        k steps.
-        Every node end is an image of a cut or a domain end under at most
-        M = n_max - 1 steps, so there are at most ((len(cuts) + 2) * n_max)^2
-        nodes. The ends are ints over the engine's single scale S = D*R^M, so
-        breakpoint k lies at B[k]*R^M; on piece k, whose slope is s/t in lowest
-        terms (t | R), f maps x to V[k]*R^M + s*(x - B[k]*R^M)/t. That division
-        is exact on the lattice, and a remainder (a scale too coarse for the
-        slopes) raises ArithmeticError. Each node end is stepped by f
-        directly and only the cut images are computed once: a memo of images
-        measured no faster. The node work is int hashing and bisection, and
-        the sums are ints.
-        """
+        point. The nodes of the graph are open intervals, the root being the
+        open domain; a node's children are the images of its pieces between
+        the cuts inside it, equal intervals sharing one node. With C_0 = 0 and
+        C_k(x) = |cuts in x| + sum of C_(k-1) over x's children, C_k(x) counts
+        the points of x whose orbit meets cuts within k steps. Node ends are
+        images of cuts or domain ends under at most M = n_max - 1 steps, so
+        ints over the one scale S = D*R^M, each stepped by f directly (a memo
+        of images measured no faster); a division with a remainder raises
+        ArithmeticError."""
         e = self._engine
         scale = e.R ** (n_max - 1)
         S = e.D * scale
@@ -417,22 +405,14 @@ class PLMap:
     def periodic_points(
         self, q: int, branch_cap: int = DEFAULT_BRANCH_CAP
     ) -> List[Tuple[Scalar, int]]:
-        """All fixed points of f^q with their least periods, sorted by point.
+        """All fixed points of f^q with their least periods, sorted by point,
+        from the Fix(f^n) the pass records (at most one per branch of f^n).
 
-        Each branch of f^q contributes at most one fixed point, and the pass
-        records Fix(f^n) for every iterate it builds: a q past the record goes
-        on with branches_of_iterate, and a q already passed only checks the
-        cap against the recorded branch counts. In rational mode a fixed point
-        is the exact zero of f^q(x) - x where that changes sign between the
-        branch ends, kept as a reduced int pair, and its least period is the
-        least divisor j of q with the pair in the recorded Fix(f^j); the
-        returned Fractions are made from those pairs in one pass, without
-        Fraction.__new__. In floating mode it is solved from the
-        branch's slope and offset, duplicates within 1e-12 are merged, and
-        least periods are return times; a point that does not return raises
-        OrbitNotClosedError. A branch on which f^q is the identity raises
-        FixedPointContinuumError.
-        """
+        An exact point's least period is the least divisor j of q with its
+        int pair in the recorded Fix(f^j), and the pairs become Fractions in
+        one pass. A floating point's is its return time, and a point that
+        does not return raises OrbitNotClosedError. A branch on which f^q is
+        the identity raises FixedPointContinuumError."""
         engine = self._recorded(q, branch_cap)
         points = engine.fixed[q - 1]
         if isinstance(points, _IdentityBranch):
@@ -461,38 +441,66 @@ class PLMap:
         return tuple(out)
 
     def return_time(self, x: Scalar, n: int) -> Optional[int]:
-        """The least j <= n with f^j(x) = x (within the map's tol), or None.
+        """The least j <= n with f^j(x) = x (within the map's tol), or None."""
+        return self.return_times((x,), n)[0]
 
-        A rational point of an exact map walks the engine's point step on
-        reduced int pairs; any other point takes the walk of _returns."""
-        x = as_scalar(x)
-        if type(x) is Fraction and self.is_exact:
+    def return_times(self, xs, n: int) -> List[Optional[int]]:
+        """return_time(x, n) for each x of xs, in order. Rational points of
+        an exact map are int pairs, and one walk (_walk) settles every point
+        it passes, so a cycle through many of them is walked once. Any other
+        point takes the walk of _returns, as closure within a float tol does
+        not pass along an orbit."""
+        xs = list(map(as_scalar, xs))
+        exact = self._lattice is not None
+        wanted = {(x.numerator, x.denominator) for x in xs if type(x) is Fraction}
+        settled: Dict[Tuple[int, int], Optional[int]] = {}
+        out: List[Optional[int]] = []
+        for x in xs:
+            if type(x) is not Fraction or not exact:
+                found = self._returns((x,), n)
+                out.append(found[0][1] if found else None)
+                continue
             x = self._clamp(x)  # a point outside the domain raises
-            start = y = (x.numerator, x.denominator)
-            point = self._engine.point
-            for j in range(1, n + 1):
-                y = point(*y)
-                if y == start:
-                    return j
-            return None
-        out = self._returns((x,), n)
-        return out[0][1] if out else None
+            start = (x.numerator, x.denominator)
+            if start not in settled:
+                settled.update(self._walk(start, n, wanted))
+            out.append(settled[start])
+        return out
+
+    def _walk(self, start: Tuple[int, int], n: int, wanted) -> Dict[tuple, Optional[int]]:
+        """The return times within n (or None) that the orbit of the pair
+        start settles, by pair. The first repeat y_W = y_c closes a
+        cycle of length P = W - c: its points return at P (None past n), and
+        the points before it never return. With no repeat by step W, a point
+        met at step k <= W - n does not return within n. The walk stops at
+        the first repeat, or n steps past the last point of wanted met by
+        step n."""
+        point = self._engine.point
+        index = {start: 0}
+        y, last, step = start, 0, 0
+        while step < last + n:
+            step += 1
+            y = point(*y)
+            c = index.get(y)
+            if c is not None:
+                P = step - c
+                return {z: P if k >= c and P <= n else None for z, k in index.items()}
+            index[y] = step
+            if step <= n and y in wanted:
+                last = step
+        return {z: None for z, k in index.items() if k + n <= step}
 
     @cached_property
     def _pieces(self) -> List[Tuple[Scalar, Scalar, Optional[Scalar]]]:
-        """(b_k, v_k, s_k) for each piece k, then the right end with its value
-        and no slope: the entry at bisect_right(breakpoints, y) - 1 for every
-        y in the domain."""
+        """(b_k, v_k, s_k) per piece k, then (right end, its value, None): the
+        entry at bisect_right(breakpoints, y) - 1 for every y in the domain."""
         bps, vals = self.breakpoints, self.values
         return [*zip(bps, vals, self.slopes), (bps[-1], vals[-1], None)]
 
     def _returns(self, xs, n: int) -> List[Tuple[Scalar, int]]:
         """(x, return_time(x, n)) for the points of xs in order, up to the
-        first that does not return within n steps: a list shorter than xs
-        ends before that point. One walk loop: each step is eval inlined, the
-        same _pieces lookup and expressions, clamping only a point outside
-        the domain, and y == b covers a breakpoint and the domain's right
-        end."""
+        first that does not return within n steps. Each step is eval's
+        _pieces step inlined, clamping only a point outside the domain."""
         tol = self.tol
         bps, pieces, clamp = self.breakpoints, self._pieces, self._clamp
         lo, hi = bps[0], bps[-1]
@@ -533,12 +541,9 @@ class _IdentityBranch(NamedTuple):
 
 
 class _ExactIterate:
-    """The branches of f^n in rational mode, as one end sequence of ints.
-
-    f^n is continuous and its branches share ends, so N branches are N + 1
-    ends: branch k is [xs[k], xs[k+1]] / X, and f^n maps xs[k] / X to
-    ys[k] / Y, where X = D*L^(n-1) and Y = D*R^(n-1) (see _ExactEngine).
-    """
+    """The N branches of f^n in exact mode, as N + 1 shared ends: branch k
+    is [xs[k], xs[k+1]] / X, and f^n maps xs[k] / X to ys[k] / Y, where
+    X = D*L^(n-1) and Y = D*R^(n-1) (see _ExactEngine)."""
 
     __slots__ = ("n", "xs", "ys")
 
@@ -563,13 +568,10 @@ class _FloatIterate:
 
 
 class _Engine:
-    """The forward pass over the iterates f^1, f^2, ... of one map.
-
-    It records the branch count and Fix(f^n) of every iterate, in order, and
-    keeps the last one, f^len(counts), to refine the next from. So the budget
-    check sees all of f^1..f^q and fixed points are solved once per iterate.
-    Subclasses supply the arithmetic.
-    """
+    """The forward pass over the iterates f^1, f^2, ... of one map: it
+    records the branch count and Fix(f^n) of each, in order, and keeps the
+    last, f^len(counts), to refine the next from. Subclasses supply the
+    arithmetic."""
 
     def __init__(self) -> None:
         self.counts: List[int] = []
@@ -604,28 +606,20 @@ class _Engine:
 
 
 class _ExactEngine(_Engine):
-    """Rational mode in plain ints over common denominators.
+    """Exact mode in plain ints over the map's lattice (D, B, V).
 
-    D is the lcm of the denominators of the breakpoints and values, and L and
-    R are the lcms of the slopes' |numerators| and denominators. Every
-    endpoint of a branch of f^n is a preimage of a breakpoint under at most
-    n-1 steps of f, so it is a multiple of 1/X with X = D*L^(n-1); its f^n
-    value is an image of a breakpoint under at most n-1 steps, so a multiple
-    of 1/Y with Y = D*R^(n-1). A preimage under piece j multiplies by
-    c_j = R*L/A_j, an integer because |the numerator of s_j| divides L, and
-    refine checks that it is. The lap counts' interval graph (PLMap._hits)
-    takes only images, so its node ends share the one scale D*R^(n_max-1).
-    Points and interval images off that scale (mixing traces, return times,
-    PLMap.image) are reduced (num, den) int pairs, placed over D to find
-    their piece.
+    L and R are the lcms of the slopes' |numerators| and denominators. A
+    branch end of f^n is a preimage of a breakpoint under at most n-1 steps,
+    so a multiple of 1/X with X = D*L^(n-1), and its f^n value an image of
+    one, so a multiple of 1/Y with Y = D*R^(n-1). A preimage under piece j
+    multiplies by c_j = R*L/A_j, an integer because |the numerator of s_j|
+    divides L, and refine checks that it is.
     """
 
     def __init__(self, f: "PLMap"):
         super().__init__()
-        bps, vals, slopes = f.breakpoints, f.values, f.slopes
-        self.D = D = math.lcm(*(x.denominator for x in bps + vals))
-        self.B = [b.numerator * (D // b.denominator) for b in bps]
-        self.V = [v.numerator * (D // v.denominator) for v in vals]
+        slopes = f.slopes
+        self.D, self.B, self.V = f._lattice
         self.L = math.lcm(*(abs(s.numerator) for s in slopes))
         self.R = R = math.lcm(*(s.denominator for s in slopes))
         # f(y) = v_j + s_j (y - b_j), with s_j = A[j] / R
@@ -729,21 +723,16 @@ class _ExactEngine(_Engine):
         return _ExactIterate(n + 1, new_xs, new_ys)
 
     def fixed_points(self, it: _ExactIterate) -> List[Tuple[int, int]] | _IdentityBranch:
-        """Fix(f^n) in domain order: where f^n(x) - x changes sign on a branch,
-        its sign taken once per end. Each point is a reduced pair (num, den)
-        with den > 0, so equal points are equal pairs. A branch on which f^n is
-        the identity is returned as an _IdentityBranch instead.
+        """Fix(f^n) in domain order, as reduced pairs (num, den) with den > 0,
+        or an _IdentityBranch where f^n is the identity on a branch.
 
-        With sx = L^(n-1) and sy = R^(n-1), the ends are first brought to the
-        values' scale: an end x over D*sx is x*sy over X = D*sx*sy, one list
-        of x*sy that sy = 1 skips. A value y is y*sx over X, so the loop
-        takes g = (f^n(x) - x) * X as y*sx - x*sy, one multiply per end.
-        Numerator and denominator scale together, so the reduced pairs are
-        those over D*sx. One loop over the ends after the first carries the
-        previous end P and its g0, so no list of values is built. A zero end is a fixed point; a sign change between P and Q is
-        the zero of the branch's line, (Q*g0 - P*g1) / (X*(g0 - g1));
-        tests/oracles.py keeps the two-pass form, exact_fixed_points, as the
-        reference."""
+        With sx = L^(n-1) and sy = R^(n-1), an end x over D*sx is x*sy over
+        X = D*sx*sy (a list that sy = 1 skips) and a value y is y*sx over X,
+        so g = (f^n(x) - x) * X is y*sx - x*sy. One loop carries the previous
+        end P and its g0: a zero end is a fixed point, and a sign change
+        between P and Q the zero of the branch's line, (Q*g0 - P*g1) /
+        (X*(g0 - g1)). Its two-pass form is exact_fixed_points in
+        tests/oracles.py."""
         sx, sy = self.L ** (it.n - 1), self.R ** (it.n - 1)
         X = self.D * sx * sy
         xs, ys = it.xs if sy == 1 else [x * sy for x in it.xs], it.ys
@@ -763,7 +752,7 @@ class _ExactEngine(_Engine):
                 out.append((num // d, den // d))
             elif g1 == 0:
                 if g0 == 0:
-                    return _IdentityBranch(Fraction(P, X), Fraction(Q, X))
+                    return _IdentityBranch(_ratio(P, X), _ratio(Q, X))
                 d = math.gcd(Q, X)
                 out.append((Q // d, X // d))
             P, g0 = Q, g1
@@ -775,7 +764,7 @@ class _ExactEngine(_Engine):
         pass has recorded every f^j with j <= q; none is an _IdentityBranch,
         since f^q is then the identity there too."""
         least: Dict[Tuple[int, int], int] = {}
-        for j in reversed(_divisors(q)[:-1]):  # a smaller j overwrites
+        for j in (j for j in range(q - 1, 0, -1) if q % j == 0):  # a smaller j overwrites
             least.update(dict.fromkeys(self.fixed[j - 1], j))
         return least
 
@@ -806,7 +795,8 @@ class _FloatEngine(_Engine):
 
     def record(self, it: _FloatIterate) -> None:
         super().record(it)
-        self.laps.append(_runs([s > 0 for s in it.slope]))
+        rising = [s > 0 for s in it.slope]  # the laps are its maximal runs
+        self.laps.append(1 + sum(map(ne, rising, rising[1:])))
 
     def first(self) -> _FloatIterate:
         bps, slopes = self.bps, self.slopes
@@ -876,11 +866,3 @@ class _FloatEngine(_Engine):
         kept = -math.inf
         return array("d", [kept := x for x in raw if x - kept > tol])
 
-
-def _runs(rising: List[bool]) -> int:
-    """Maximal runs of equal direction in a sequence of branch directions."""
-    return 1 + sum(map(ne, rising, rising[1:]))
-
-
-def _divisors(q: int) -> List[int]:
-    return [j for j in range(1, q + 1) if q % j == 0]

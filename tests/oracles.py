@@ -17,6 +17,12 @@ float_return_time walk), which the engine must match bit for bit; so must
 PLMap.eval match eval_by_index. The exact sign-change scan of Fix(f^n) has
 its two-pass form kept here too, exact_fixed_points, which builds the values
 of f^n(x) - x at every end first and then walks the ends again.
+
+An exact map is held as ints from the moment its text is parsed; the Fraction
+formulas that lattice replaced are kept here as its second method:
+fraction_from_str parses a scalar, fraction_slopes and fraction_lattice give
+a map's slopes and its engine's integers, and slope_at_least_minimal is the
+Horner check of a slope against the minimal one.
 """
 
 import math
@@ -26,7 +32,7 @@ from functools import partial
 from typing import NamedTuple
 
 from intervalmaps import BranchBudgetError, Interval, OrbitNotClosedError
-from intervalmaps.kernel import FLOAT_TOL, as_scalar
+from intervalmaps.kernel import FLOAT_TOL, as_scalar, eval_slope_poly
 from intervalmaps.plmap import MERGE_TOL, _IdentityBranch
 
 
@@ -430,3 +436,42 @@ def left_to_right_orbit_and_t(p, s):
     xs[p - 2] = one - one
     t = (s ** (p - 1) - total((-s) ** j for j in range(p - 2))) / s ** (p - 1)
     return tuple(xs), t
+
+
+# ---------------------------------------------------------------- Fraction formulas
+
+
+def fraction_from_str(text):
+    """A rational scalar's text as Fraction(int(num), int(den))."""
+    num, _, den = text.strip().partition("/")
+    return Fraction(int(num), int(den))
+
+
+def slope_at_least_minimal(p, s):
+    """s > 0 and the slope polynomial X^p - 2 X^(p-2) - 1 is >= 0 at s, by
+    Horner's rule in Fractions."""
+    return s > 0 and eval_slope_poly(p, s) >= 0
+
+
+def fraction_slopes(m):
+    """Each piece's slope as a quotient of Fraction differences."""
+    bps, vals = m.breakpoints, m.values
+    return tuple((vals[j + 1] - vals[j]) / (bps[j + 1] - bps[j]) for j in range(len(bps) - 1))
+
+
+def fraction_lattice(m):
+    """(D, B, V, L, R, A) of the exact engine, from Fractions: D the lcm of
+    the denominators of the breakpoints and values, B and V those over D, L
+    and R the lcms of the slopes' |numerators| and denominators, and A the
+    slopes over R."""
+    bps, vals, slopes = m.breakpoints, m.values, fraction_slopes(m)
+    D = math.lcm(*(x.denominator for x in bps + vals))
+    R = math.lcm(*(s.denominator for s in slopes))
+    return (
+        D,
+        [b * D for b in bps],
+        [v * D for v in vals],
+        math.lcm(*(abs(s.numerator) for s in slopes)),
+        R,
+        [s * R for s in slopes],
+    )

@@ -15,11 +15,12 @@ from intervalmaps import (
     verify_mixing,
     verify_type,
 )
+from intervalmaps.analysis import _boundary_periods
 from intervalmaps.plmap import _ExactEngine
 from intervalmaps.sharkovskii import sharkovskii_le
 from intervalmaps.document import load_document
 from intervalmaps.kernel import scalar_to_str
-from oracles import iterate, mixing_seeds, mixing_trace
+from oracles import iterate, mixing_seeds, mixing_trace, ref_eval
 
 F = Fraction
 RATIONAL_DOCS = [
@@ -27,6 +28,56 @@ RATIONAL_DOCS = [
     for path in sorted((Path(__file__).parent / "data").glob("map_*.json"))
     if json.loads(path.read_text())["params"]["mode"] == "rational"
 ]
+
+
+MARKED_DOCS = [path for path in RATIONAL_DOCS if "_d0_" in path.name]
+
+
+def ref_return_time(m, x, n):
+    """The least j <= n with f^j(x) = x, stepping with the oracle's ref_eval."""
+    y = x
+    for j in range(1, n + 1):
+        y = ref_eval(m, y)
+        if y == x:
+            return j
+    return None
+
+
+def assert_boundary_walk_matches_per_end(m, partition, ns):
+    """_boundary_periods, which walks each cycle once, against one walk per
+    partition end: PLMap.return_time and the oracle's Fraction walk."""
+    ends = sorted({pt for _, iv in partition for pt in (iv.lo, iv.hi)})
+    for n in ns:
+        got = _boundary_periods(m, partition, n)
+        assert list(got) == [scalar_to_str(pt) for pt in ends]
+        assert list(got.values()) == [m.return_time(pt, n) for pt in ends]
+        assert list(got.values()) == [ref_return_time(m, pt, n) for pt in ends]
+
+
+class TestBoundaryWalk:
+    @pytest.mark.parametrize("path", MARKED_DOCS, ids=lambda path: path.stem)
+    def test_fixture_ends(self, path):
+        doc = load_document(str(path))
+        p = doc.params.p
+        assert_boundary_walk_matches_per_end(
+            doc.map, doc.markers.partition(), (1, p - 2, p, 2 * p + 1)
+        )
+
+    @pytest.mark.parametrize("p", [21, 31, 51, 101])
+    def test_long_cycle_ends(self, p):
+        """All ends but t lie on the marker p-cycle, which closes within p
+        steps and not within p - 2, the reach of a type-3 claim."""
+        built = odd_type_map(p, F(283, 200))
+        partition = built.markers.partition()
+        assert_boundary_walk_matches_per_end(built.map, partition, (p - 2, p))
+        assert set(_boundary_periods(built.map, partition, p).values()) == {p, None}
+
+    def test_mixed_ends_walk_alone(self, f52):
+        """A float end on an exact map takes its own walk, within FLOAT_TOL."""
+        partition = [("A", Interval(F(0), 0.5)), ("B", Interval(0.5, F(1)))]
+        assert _boundary_periods(f52.map, partition, 5) == {
+            "0/1": 5, "0.5": f52.map.return_time(0.5, 5), "1/1": 5
+        }
 
 
 class TestVerifyType:

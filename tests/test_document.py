@@ -108,6 +108,56 @@ class TestStrictParams:
             MapDocument.from_dict(obj)
 
 
+class TestLoadRefusals:
+    """A map or scalar that does not load is named with its exact message,
+    and analyze exits 1 on it; a non-canonical rational loads reduced."""
+
+    def written(self, tmp_path, name, edit):
+        obj = json.loads((DATA / f"{name}.json").read_text())
+        edit(obj)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(obj))
+        return path
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda o: o["breakpoints"].__setitem__(slice(1, 3), ["5/72", "1/18"]),
+         "breakpoints not strictly increasing at 5/72, 1/18"),
+        (lambda o: o["values"].__setitem__(1, "2/1"), "values leave the domain; not a self-map"),
+        (lambda o: o["values"].__setitem__(1, "11/12"),
+         "constant piece at index 1 is not supported"),
+        (lambda o: o["breakpoints"].__setitem__(1, "1/0"), "scalar '1/0' has a zero denominator"),
+    ])
+    def test_refused_map_exits_one(self, tmp_path, capsys, edit, message):
+        path = self.written(tmp_path, "map_p5_d2_lam2", edit)
+        with pytest.raises(ValueError) as err:
+            load_document(str(path))
+        assert str(err.value) == message
+        assert main(["analyze", str(path), "--entropy", "3"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_negative_denominator_loads_negated(self, tmp_path, capsys):
+        path = self.written(
+            tmp_path, "map_p5_d2_lam2", lambda o: o["breakpoints"].__setitem__(0, "1/-2")
+        )
+        doc = load_document(str(path))
+        assert doc.map.breakpoints[0] == F(-1, 2)
+        assert doc.map.breakpoints[0].denominator == 2
+        expected = json.loads((DATA / "map_p5_d2_lam2.json").read_text())
+        expected["breakpoints"][0] = "-1/2"
+        assert doc.to_json() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+        assert main(["analyze", str(path), "--entropy", "3"]) == 0
+
+    def test_unreduced_rational_resaves_canonically(self, tmp_path, capsys):
+        text = (DATA / "map_p3_d0_lam2.json").read_text()
+        assert '"1/2"' in text
+        path = tmp_path / "unreduced.json"
+        path.write_text(text.replace('"1/2"', '"2/4"'))
+        doc = load_document(str(path))
+        assert doc.markers.orbit[0] == F(1, 2) and doc.markers.orbit[0].numerator == 1
+        assert doc.to_json() == text
+        assert main(["analyze", str(path), "--entropy", "3"]) == 0
+
+
 class TestMarkerCheck:
     def edited(self, edit):
         obj = document_for(ConstructionParams(5, 0, F(2))).to_dict()

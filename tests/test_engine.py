@@ -724,6 +724,19 @@ def test_exact_return_time_matches_eval_loop(m, interior, near):
     assert_return_times_match(m, points, (F(-1, 10**9), 1 + F(1, 10**9), -2 * FLOAT_TOL))
 
 
+@ENGINES_AGREE
+@given(exact_maps(), st.lists(UNIT, max_size=5), st.integers(0, 8))
+def test_return_times_match_one_walk_per_point(m, interior, n):
+    """return_times walks each cycle once, and a walk past a point settles
+    it: the same times as return_time one point at a time, on breakpoints,
+    values, their images, periodic points of f^1..f^4 and floats."""
+    m.branches_of_iterate(4)
+    fixed = [F(*x) for fix in m._engine.fixed if isinstance(fix, list) for x in fix]
+    points = [*m.breakpoints, *m.values, *map(m.eval, m.values), *fixed, *interior, 0.5]
+    assert m.return_times(points, n) == [m.return_time(x, n) for x in points]
+    assert m.return_times(points, n) == [eval_loop_return_time(m, x, n) for x in points]
+
+
 def typed(*xs):
     return [(type(x), x) for x in xs]
 

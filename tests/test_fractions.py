@@ -9,14 +9,19 @@ package supports:
     PYTHONPATH=src:tests python -c "import test_fractions as t; t.test_fraction_from_reduced_pair(); t.test_fractions_from_reduced_pairs()"
 
 The others count Fraction.__new__ calls, so that a Fraction per periodic
-point or per mixing seed cannot come back unnoticed.
+point or per mixing seed cannot come back unnoticed, and the last counts
+Fraction arithmetic too: loading a rational document and estimating its
+entropy run on the int lattice, with none.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
-from intervalmaps import verify_mixing
+from intervalmaps import estimate_entropy, verify_mixing
+from intervalmaps.document import load_document
 from intervalmaps.kernel import _fraction, _fractions, as_scalar, scalar_to_str
 
 
@@ -72,6 +77,46 @@ def _count_fraction_new(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
     return calls
+
+
+ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
+              "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
+
+
+def _count_fraction_work(monkeypatch):
+    """_count_fraction_new's list, which also gets one (name, args) entry per
+    Fraction + - * / call from now on."""
+    calls = _count_fraction_new(monkeypatch)
+
+    def counting(name, op):
+        def counted(*args):
+            calls.append((name, args))
+            return op(*args)
+        return counted
+
+    for name in ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, counting(name, getattr(Fraction, name)))
+    return calls
+
+
+def test_load_and_entropy_make_no_fraction_work(monkeypatch):
+    """From the document text to the lap counts an exact map is ints: on
+    every rational fixture the load (with its re-verified params and
+    markers) and the entropy estimate make no Fraction with Fraction.__new__
+    and do no Fraction arithmetic."""
+    paths = sorted((Path(__file__).parent / "data").glob("map_*.json"))
+    rational = [p for p in paths if json.loads(p.read_text())["params"]["mode"] == "rational"]
+    assert len(rational) == 13
+    calls = _count_fraction_work(monkeypatch)
+    made = {}
+    for path in rational:
+        calls.clear()
+        doc = load_document(str(path))
+        loading = len(calls)
+        est = estimate_entropy(doc.map, 8)
+        made[path.stem] = (loading, len(calls) - loading)
+        assert doc.map.is_exact and len(est.laps) == 8
+    assert made == dict.fromkeys(made, (0, 0))
 
 
 def test_recorded_periodic_points_make_no_fraction(f52, monkeypatch):

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intervalmaps import (
+    ConstructionParams,
     IntPolynomial,
+    SlopeBelowMinimumError,
     eval_slope_poly,
     is_exact,
     minimal_slope,
@@ -16,6 +18,7 @@ from intervalmaps import (
     slope_poly_quotient,
 )
 from intervalmaps.kernel import minimal_slope_bracket
+from oracles import fraction_from_str, slope_at_least_minimal
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 ODD_PS = list(range(3, 32, 2))
@@ -134,6 +137,36 @@ class TestScalarText:
     def test_lowest_terms(self):
         assert scalar_to_str(Fraction(4, 8)) == "1/2"
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_parse_matches_fraction(self, data):
+        """The int-pair parse against Fraction(int(num), int(den)) on texts
+        with signs, zero and big numerators, negative denominators, blanks
+        around either side and underscores between digits."""
+        def spelled(value):
+            digits = str(abs(value))
+            if len(digits) > 1 and data.draw(st.booleans()):
+                cut = data.draw(st.integers(1, len(digits) - 1))
+                digits = digits[:cut] + "_" + digits[cut:]
+            sign = "-" if value < 0 else data.draw(st.sampled_from(["", "+"]))
+            blank = st.sampled_from(["", " ", "\t", "  "])
+            return data.draw(blank) + sign + digits + data.draw(blank)
+
+        big = st.integers(-(2**200), 2**200)
+        num = data.draw(st.one_of(st.just(0), st.integers(-50, 50), big))
+        den = data.draw(st.one_of(st.integers(-50, 50), big).filter(bool))
+        text = spelled(num) + "/" + spelled(den)
+        x, ref = scalar_from_str(text), fraction_from_str(text)
+        assert type(x) is Fraction
+        assert (x.numerator, x.denominator) == (ref.numerator, ref.denominator)
+        assert x == ref and hash(x) == hash(ref)
+
+    @pytest.mark.parametrize("text", ["1/0", " -3 / 0 ", "0/-0", "2_0/0_0"])
+    def test_zero_denominator_message(self, text):
+        with pytest.raises(ValueError) as err:
+            scalar_from_str(text)
+        assert str(err.value) == f"scalar {text.strip()!r} has a zero denominator"
+
     def test_nonfinite_rejected(self):
         from intervalmaps import as_scalar
 
@@ -141,3 +174,32 @@ class TestScalarText:
             as_scalar(float("inf"))
         with pytest.raises(ValueError):
             as_scalar(float("nan"))
+
+
+def straddling_slopes(p):
+    """Rationals just below and just above lambda_p: the ends of its float
+    bracket and rationals an ulp outside them, plus the nearest
+    small-denominator neighbours on either side."""
+    lo, hi = (Fraction(x) for x in minimal_slope_bracket(p))
+    ulp = Fraction(1, 2**60)
+    out = [lo, hi, lo - ulp, hi + ulp, (lo + hi) / 2]
+    for den in (10, 1000, 10**6):
+        out += [Fraction(math.floor(lo * den), den), Fraction(math.ceil(hi * den), den)]
+    return out
+
+
+@pytest.mark.parametrize("p", range(3, 102, 2))
+def test_exact_slope_check_matches_horner(p):
+    """ConstructionParams' int check of a rational slope accepts and refuses
+    what the Fraction Horner check does, near lambda_p and at slopes <= 0."""
+    assert {slope_at_least_minimal(p, s) for s in straddling_slopes(p)} == {False, True}
+    for s in [*straddling_slopes(p), Fraction(2), Fraction(0), Fraction(-1), Fraction(-2)]:
+        if slope_at_least_minimal(p, s):
+            assert ConstructionParams(p, 0, s).slope == s
+            continue
+        with pytest.raises(SlopeBelowMinimumError) as err:
+            ConstructionParams(p, 0, s)
+        assert str(err.value) == (
+            f"slope {scalar_to_str(s)} is below the minimal admissible slope "
+            f"for odd type {p}: {minimal_slope(p):.12f}"
+        )

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from intervalmaps import (
@@ -14,8 +14,10 @@ from intervalmaps import (
     odd_type_map,
     stefan_map,
 )
+from intervalmaps.document import load_document
 from intervalmaps.kernel import FLOAT_TOL
-from oracles import iterate
+from oracles import eval_by_index, fraction_lattice, fraction_slopes, iterate, ref_eval
+from test_analysis import RATIONAL_DOCS
 
 F = Fraction
 
@@ -312,3 +314,57 @@ class TestConjugacy:
         assert unit.domain == Interval(F(0), F(1))
         assert unit.lap_growth(1) == stefan5.lap_growth(1) == [2]
         assert unit.lap_growth(6) == stefan5.lap_growth(6)
+
+
+@st.composite
+def exact_maps_anywhere(draw):
+    """Exact self-maps of a random rational domain, with 1 to 8 pieces and
+    denominators up to 10^6."""
+    scalar = st.fractions(-5, 5, max_denominator=10**6)
+    bps = sorted(draw(st.lists(scalar, min_size=2, max_size=9, unique=True)))
+    values = draw(st.lists(st.fractions(bps[0], bps[-1], max_denominator=10**6),
+                           min_size=len(bps), max_size=len(bps)))
+    assume(all(a != b for a, b in zip(values, values[1:])))
+    return PLMap(tuple(bps), tuple(values))
+
+
+def assert_lattice_matches_fractions(m, points):
+    """Slopes, exact eval and the engine's integers against the Fraction
+    formulas they replace."""
+    assert m.slopes == fraction_slopes(m)
+    assert all(type(s) is Fraction for s in m.slopes)
+    e = m._engine
+    assert [e.D, list(e.B), list(e.V), e.L, e.R, e.A] == list(fraction_lattice(m))
+    for x in (*m.breakpoints, *m.values, *points):
+        y = m.eval(x)
+        assert type(y) is Fraction and y == ref_eval(m, x) == eval_by_index(m, x), x
+
+
+class TestLattice:
+    @pytest.mark.parametrize("path", RATIONAL_DOCS, ids=lambda p: p.stem)
+    def test_fixture_lattice_matches_fractions(self, path):
+        doc = load_document(str(path))
+        m = doc.map
+        lo, hi = m.breakpoints[0], m.breakpoints[-1]
+        midpoints = [(a + b) / 2 for a, b in zip(m.breakpoints, m.breakpoints[1:])]
+        orbit = doc.markers.orbit if doc.markers else ()
+        points = [*midpoints, lo + (hi - lo) * F(1, 3), *orbit]
+        assert_lattice_matches_fractions(m, points)
+
+    @settings(derandomize=True, max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(exact_maps_anywhere(), st.data())
+    def test_random_lattice_matches_fractions(self, m, data):
+        lo, hi = m.breakpoints[0], m.breakpoints[-1]
+        inside = st.fractions(lo, hi, max_denominator=10**9)
+        assert_lattice_matches_fractions(m, data.draw(st.lists(inside, max_size=6)))
+
+    def test_validation_names_the_scalars(self):
+        with pytest.raises(ValueError, match="not strictly increasing at 1/2, 1/3"):
+            PLMap((F(0), F(1, 2), F(1, 3), F(1)), (F(0), F(1), F(0), F(1)))
+        with pytest.raises(ValueError, match="not strictly increasing at 0.5, 1/3"):
+            PLMap((F(0), 0.5, F(1, 3), F(1)), (F(0), F(1), F(0), F(1)))
+        with pytest.raises(ValueError, match="not a self-map"):
+            PLMap((F(-1, 2), F(1, 2)), (F(1, 2), F(-2, 3)))
+        with pytest.raises(ValueError, match="constant piece at index 1"):
+            PLMap((F(0), F(1, 3), F(2, 3), F(1)), (F(0), F(2, 6), F(1, 3), F(1)))
