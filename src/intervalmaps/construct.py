@@ -34,6 +34,8 @@ from .kernel import (
     eval_slope_poly,
     is_exact,
     minimal_slope,
+    minimal_slope_bracket,
+    scalar_from_str,
     scalar_to_str,
 )
 from .plmap import Interval, PLMap
@@ -71,7 +73,9 @@ class ConstructionParams:
 
     The one record of a build's parameters: the CLI validates its arguments
     here, and a loaded document its params. A rational slope is checked
-    against the minimal one exactly, a floating one within FLOAT_TOL.
+    against the minimal one exactly. A floating one passes if the slope
+    polynomial there is at least -FLOAT_TOL, or if the slope is at least the
+    low end of minimal_slope_bracket(p), the bracket that holds lambda_p.
     """
 
     p: int
@@ -88,8 +92,9 @@ class ConstructionParams:
         if is_exact(s):  # the sign of b^p times the slope polynomial at a/b
             p, a, b = self.p, s.numerator, s.denominator
             ok = a > 0 and a**p - 2 * a ** (p - 2) * b * b - b**p >= 0
-        else:
+        else:  # Horner alone refuses minimal_slope(p) from p = 29 on
             ok = s > 0 and eval_slope_poly(self.p, s) >= -FLOAT_TOL
+            ok = ok or s >= minimal_slope_bracket(self.p)[0]
         if not ok:
             raise SlopeBelowMinimumError(self.p, s)
 
@@ -136,20 +141,10 @@ def stefan_map(p: int) -> PLMap:
     """
     _require_odd(p)
     n = (p - 1) // 2
-    anchors = [
-        (0, 2 * n),
-        (n - 1, n + 1),
-        (n, n - 1),
-        (2 * n - 1, 0),
-        (2 * n, n),
-    ]
-    seen: Dict[int, int] = {}
-    for x, v in anchors:
-        if x in seen and seen[x] != v:
-            raise RuntimeError("internal: inconsistent anchor collapse")
-        seen[x] = v
-    xs = sorted(seen)
-    return PLMap(tuple(Fraction(x) for x in xs), tuple(Fraction(seen[x]) for x in xs))
+    anchors = {(0, 2 * n), (n - 1, n + 1), (n, n - 1), (2 * n - 1, 0), (2 * n, n)}
+    # a collapse that disagreed would leave two equal breakpoints; PLMap refuses them
+    xs, vs = zip(*sorted(anchors))
+    return PLMap(xs, vs)
 
 
 def orbit_and_t(p: int, slope) -> Tuple[Tuple[Scalar, ...], Scalar]:
@@ -268,7 +263,8 @@ def _verify_build(m, s, tents, height) -> None:
     tol = m.tol
     report = m.is_constant_slope(s)
     if not report:
-        raise RuntimeError(f"internal: slopes {report.slopes} are not all +-{s}")
+        off = max(report.deviations)  # a list of the slopes may run to megabytes
+        raise RuntimeError(f"internal: slopes are not all +-{s}: one is {off} off")
     for name, iv in tents.items():
         if not (_within(m.eval(iv.lo), 0, tol) and _within(m.eval(iv.hi), 0, tol)):
             raise RuntimeError(f"internal: tent {name} endpoints must map to 0")
@@ -323,11 +319,8 @@ def parse_slope_text(text: str, p: int) -> Scalar:
     if t.lower() == "lambda_p":
         return minimal_slope(p)
     if "/" in t:
-        try:
-            return Fraction(t)
-        except ZeroDivisionError:
-            raise ValueError(f"slope {t!r} has a zero denominator") from None
+        return scalar_from_str(t)
     try:
-        return Fraction(int(t))
+        return as_scalar(int(t))
     except ValueError:
         return as_scalar(float(t))

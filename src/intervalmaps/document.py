@@ -168,8 +168,19 @@ def document_for(params: ConstructionParams, rescale: bool = True) -> MapDocumen
     are carried only when d = 0; the square-root conjugacy does not preserve
     them. A root that is no map (in floating mode, rounding merges two
     breakpoints or two values once the map's features shrink below an ulp)
-    raises ValueError naming the root and d."""
-    built = odd_type_map(params.p, params.slope)
+    raises ValueError naming the root and d. So does a floating build that
+    rounding breaks, naming the check it fails; an exact one that fails a
+    check is a program fault and keeps its RuntimeError."""
+    try:
+        built = odd_type_map(params.p, params.slope)
+    except RuntimeError as exc:
+        if is_exact(params.slope):
+            raise
+        check = str(exc).removeprefix("internal: ")
+        raise ValueError(
+            f"binary64 rounding breaks the odd type {params.p} build at slope "
+            f"{scalar_to_str(params.slope)} ({check}); give the slope as a fraction a/b"
+        ) from None
     final = built.map
     for k in range(1, params.doublings + 1):
         try:

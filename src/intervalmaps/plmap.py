@@ -440,19 +440,15 @@ class PLMap:
             x = self.eval(x)
         return tuple(out)
 
-    def return_time(self, x: Scalar, n: int) -> Optional[int]:
-        """The least j <= n with f^j(x) = x (within the map's tol), or None."""
-        return self.return_times((x,), n)[0]
-
     def return_times(self, xs, n: int) -> List[Optional[int]]:
-        """return_time(x, n) for each x of xs, in order. Rational points of
-        an exact map are int pairs, and one walk (_walk) settles every point
-        it passes, so a cycle through many of them is walked once. Any other
-        point takes the walk of _returns, as closure within a float tol does
-        not pass along an orbit."""
+        """The least j <= n with f^j(x) = x (within the map's tol), or None,
+        for each x of xs, in order. Rational points of an exact map are int
+        pairs, and one walk (_walk) settles every point it passes, so a cycle
+        through many of them is walked once. Any other point takes the walk
+        of _returns, as closure within a float tol does not pass along an
+        orbit."""
         xs = list(map(as_scalar, xs))
         exact = self._lattice is not None
-        wanted = {(x.numerator, x.denominator) for x in xs if type(x) is Fraction}
         settled: Dict[Tuple[int, int], Optional[int]] = {}
         out: List[Optional[int]] = []
         for x in xs:
@@ -463,32 +459,27 @@ class PLMap:
             x = self._clamp(x)  # a point outside the domain raises
             start = (x.numerator, x.denominator)
             if start not in settled:
-                settled.update(self._walk(start, n, wanted))
+                settled.update(self._walk(start, n))
             out.append(settled[start])
         return out
 
-    def _walk(self, start: Tuple[int, int], n: int, wanted) -> Dict[tuple, Optional[int]]:
+    def _walk(self, start: Tuple[int, int], n: int) -> Dict[tuple, Optional[int]]:
         """The return times within n (or None) that the orbit of the pair
-        start settles, by pair. The first repeat y_W = y_c closes a
-        cycle of length P = W - c: its points return at P (None past n), and
-        the points before it never return. With no repeat by step W, a point
-        met at step k <= W - n does not return within n. The walk stops at
-        the first repeat, or n steps past the last point of wanted met by
-        step n."""
+        start settles, by pair, walking at most 2n steps. The first repeat
+        y_W = y_c closes a cycle of length P = W - c: its points return at P
+        (None past n), and the points before it never return. With no repeat,
+        no point met by step n returns within n."""
         point = self._engine.point
         index = {start: 0}
-        y, last, step = start, 0, 0
-        while step < last + n:
-            step += 1
+        y = start
+        for step in range(1, 2 * n + 1):
             y = point(*y)
             c = index.get(y)
             if c is not None:
                 P = step - c
                 return {z: P if k >= c and P <= n else None for z, k in index.items()}
             index[y] = step
-            if step <= n and y in wanted:
-                last = step
-        return {z: None for z, k in index.items() if k + n <= step}
+        return {z: None for z, k in index.items() if k <= n}
 
     @cached_property
     def _pieces(self) -> List[Tuple[Scalar, Scalar, Optional[Scalar]]]:
@@ -498,8 +489,8 @@ class PLMap:
         return [*zip(bps, vals, self.slopes), (bps[-1], vals[-1], None)]
 
     def _returns(self, xs, n: int) -> List[Tuple[Scalar, int]]:
-        """(x, return_time(x, n)) for the points of xs in order, up to the
-        first that does not return within n steps. Each step is eval's
+        """(x, its return time within n) for the points of xs in order, up to
+        the first that does not return within n steps. Each step is eval's
         _pieces step inlined, clamping only a point outside the domain."""
         tol = self.tol
         bps, pieces, clamp = self.breakpoints, self._pieces, self._clamp

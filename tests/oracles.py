@@ -16,7 +16,9 @@ statement for statement (float_refine, float_fixed_points and the per-point
 float_return_time walk), which the engine must match bit for bit; so must
 PLMap.eval match eval_by_index. The exact sign-change scan of Fix(f^n) has
 its two-pass form kept here too, exact_fixed_points, which builds the values
-of f^n(x) - x at every end first and then walks the ends again.
+of f^n(x) - x at every end first and then walks the ends again, and so has
+stefan_map's own check of its anchors, which PLMap's validation replaced
+(stefan_map_by_dict).
 
 An exact map is held as ints from the moment its text is parsed; the Fraction
 formulas that lattice replaced are kept here as its second method:
@@ -31,7 +33,7 @@ from fractions import Fraction
 from functools import partial
 from typing import NamedTuple
 
-from intervalmaps import BranchBudgetError, Interval, OrbitNotClosedError
+from intervalmaps import BranchBudgetError, Interval, OrbitNotClosedError, PLMap
 from intervalmaps.kernel import FLOAT_TOL, as_scalar, eval_slope_poly
 from intervalmaps.plmap import MERGE_TOL, _IdentityBranch
 
@@ -436,6 +438,20 @@ def left_to_right_orbit_and_t(p, s):
     xs[p - 2] = one - one
     t = (s ** (p - 1) - total((-s) ** j for j in range(p - 2))) / s ** (p - 1)
     return tuple(xs), t
+
+
+def stefan_map_by_dict(p):
+    """stefan_map as first written: the anchors collapse through a dict that
+    refuses two values at one point, and become Fractions one by one."""
+    n = (p - 1) // 2
+    anchors = [(0, 2 * n), (n - 1, n + 1), (n, n - 1), (2 * n - 1, 0), (2 * n, n)]
+    seen = {}
+    for x, v in anchors:
+        if x in seen and seen[x] != v:
+            raise RuntimeError("internal: inconsistent anchor collapse")
+        seen[x] = v
+    xs = sorted(seen)
+    return PLMap(tuple(Fraction(x) for x in xs), tuple(Fraction(seen[x]) for x in xs))
 
 
 # ---------------------------------------------------------------- Fraction formulas

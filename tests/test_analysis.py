@@ -45,12 +45,13 @@ def ref_return_time(m, x, n):
 
 def assert_boundary_walk_matches_per_end(m, partition, ns):
     """_boundary_periods, which walks each cycle once, against one walk per
-    partition end: PLMap.return_time and the oracle's Fraction walk."""
+    partition end: return_times one point at a time and the oracle's
+    Fraction walk."""
     ends = sorted({pt for _, iv in partition for pt in (iv.lo, iv.hi)})
     for n in ns:
         got = _boundary_periods(m, partition, n)
         assert list(got) == [scalar_to_str(pt) for pt in ends]
-        assert list(got.values()) == [m.return_time(pt, n) for pt in ends]
+        assert list(got.values()) == [m.return_times((pt,), n)[0] for pt in ends]
         assert list(got.values()) == [ref_return_time(m, pt, n) for pt in ends]
 
 
@@ -72,11 +73,40 @@ class TestBoundaryWalk:
         assert_boundary_walk_matches_per_end(built.map, partition, (p - 2, p))
         assert set(_boundary_periods(built.map, partition, p).values()) == {p, None}
 
+    @pytest.mark.parametrize("p, slope, steps", [
+        (5, F(2), [10, 17, 17, 17]),
+        (7, F(2), [12, 23, 23, 23]),
+        (21, F(283, 200), [24, 43, 43, 43]),
+        (51, F(283, 200), [54, 103, 103, 103]),
+        (101, F(283, 200), [104, 203, 203, 203]),
+    ])
+    def test_steps_per_cycle(self, monkeypatch, p, slope, steps):
+        """The _ExactEngine.point steps of the boundary walk at n = 1, p - 2,
+        p and 2p + 1. At n = p the ends on the marker p-cycle share one walk
+        of it, and an end off the cycle that no earlier walk met walks onto
+        it and round it once more; a walk per end would take about p times
+        as many steps."""
+        built = odd_type_map(p, slope)
+        calls = []
+        point = _ExactEngine.point
+
+        def counted(self, num, den):
+            calls.append(num)
+            return point(self, num, den)
+
+        monkeypatch.setattr(_ExactEngine, "point", counted)
+        made = []
+        for n in (1, p - 2, p, 2 * p + 1):
+            calls.clear()
+            _boundary_periods(built.map, built.markers.partition(), n)
+            made.append(len(calls))
+        assert made == steps
+
     def test_mixed_ends_walk_alone(self, f52):
         """A float end on an exact map takes its own walk, within FLOAT_TOL."""
         partition = [("A", Interval(F(0), 0.5)), ("B", Interval(0.5, F(1)))]
         assert _boundary_periods(f52.map, partition, 5) == {
-            "0/1": 5, "0.5": f52.map.return_time(0.5, 5), "1/1": 5
+            "0/1": 5, "0.5": f52.map.return_times((0.5,), 5)[0], "1/1": 5
         }
 
 

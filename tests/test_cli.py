@@ -85,6 +85,22 @@ class TestConstruct:
         assert doc.mode == "floating"
         assert len(doc.map.breakpoints) == 3  # degenerate middle block
 
+    def test_lambda_p_at_p29(self, tmp_path):
+        """Horner's test alone refuses minimal_slope(29); the bracket passes it."""
+        path = construct(tmp_path, "--p", "29", "--lambda", "lambda_p")
+        graph = tmp_path / "f29.dot"
+        assert main(["analyze", str(path), "--type", "3", "--graph", str(graph)]) == 0
+
+    @pytest.mark.parametrize("p, slope", [("21", "7.5"), ("5", "181.5"), ("3", "1e30")])
+    def test_rounding_broken_float_build_exits_one(self, tmp_path, capsys, p, slope):
+        out = tmp_path / "x.json"
+        assert main(["construct", "--p", p, "--lambda", slope, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: binary64 rounding breaks the odd type ")
+        assert err.count("\n") == 1 and len(err) < 300 and "Traceback" not in err
+        assert err.endswith("; give the slope as a fraction a/b\n")
+        assert not out.exists()
+
     def test_roundtrip_byte_identical(self, tmp_path):
         path = construct(tmp_path, "--p", "5", "--lambda", "2")
         text = path.read_text()
@@ -383,6 +399,15 @@ class TestSweep:
         row = (out_dir / "summary.csv").read_text().splitlines()[1].split(",")
         assert row[:2] == ["3", "1029"]
         assert row[5].startswith("error: ")
+
+    def test_rounding_broken_cell_row(self, tmp_path, capsys):
+        """The cell's row carries construct's one-line refusal."""
+        assert main(["construct", "--p", "21", "--lambda", "7.5"]) == 1
+        err = capsys.readouterr().err
+        out_dir = tmp_path / "cells"
+        assert main(["sweep", "--p", "21", "--lambda", "7.5", "--out-dir", str(out_dir)]) == 2
+        rows = (out_dir / "summary.csv").read_text().splitlines()[1:]
+        assert rows == [f"21,0,7.5,,,{err.rstrip()},"]
 
     def test_tiny_target_names_failing_root(self, tmp_path, capsys):
         """h = 1e-200 needs d = 664, and the floating roots stop being maps at

@@ -18,9 +18,10 @@ from intervalmaps import (
     square_root,
     stefan_map,
 )
+from intervalmaps import construct
 from intervalmaps.document import MapDocument, document_for
-from intervalmaps.kernel import FLOAT_TOL
-from oracles import iterate
+from intervalmaps.kernel import FLOAT_TOL, eval_slope_poly, minimal_slope_bracket
+from oracles import iterate, stefan_map_by_dict
 
 F = Fraction
 
@@ -46,6 +47,14 @@ class TestStefan:
             stefan_map(4)
         with pytest.raises(ValueError):
             stefan_map(1)
+
+    @pytest.mark.parametrize("p", range(3, 22, 2))
+    def test_matches_anchor_dict(self, p):
+        """The anchors collapsed by a set and checked by PLMap give the map
+        the old dict check built, breakpoint for breakpoint."""
+        m, ref = stefan_map(p), stefan_map_by_dict(p)
+        assert m == ref
+        assert all(type(x) is F for x in m.breakpoints + m.values)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 9, 11, 13])
     def test_orbit_identities(self, p):
@@ -253,3 +262,81 @@ class TestParams:
         resolved = parse_slope_text("lambda_p", 5)
         assert isinstance(resolved, float)
         assert abs(resolved - minimal_slope(5)) <= 1e-12
+
+    def test_parse_slope_text_reads_int_spellings(self):
+        """a/b is read as documents read it, so each side may be any int()
+        text, which Fraction's own parser refuses; such a slope then passes
+        or fails ConstructionParams like any other."""
+        assert parse_slope_text("3/-2", 3) == F(-3, 2)
+        assert parse_slope_text("3 / 2", 3) == F(3, 2)
+        assert parse_slope_text("+3/+2", 3) == F(3, 2)
+        with pytest.raises(SlopeBelowMinimumError):
+            ConstructionParams(3, 0, parse_slope_text("3/-2", 3))
+        assert ConstructionParams(7, 0, parse_slope_text("3 / 2", 7)).slope == F(3, 2)
+
+
+# Horner's test alone refuses the rounded lambda_p at these p, where the
+# polynomial is steep near its root
+HORNER_REFUSES_LAMBDA_P = [29, 31, 33, 35, 39, 41, 43, 47, 53, 65, 69, 73, 75, 79, 81]
+
+
+class TestLambdaP:
+    @pytest.mark.parametrize("p", range(3, 102, 2))
+    def test_builds_at_every_odd_p(self, p):
+        """lambda_p builds, and the bracket whose low end admits it holds the
+        root: the exact check refuses that end and passes the high end."""
+        doc = document_for(ConstructionParams(p, 0, minimal_slope(p)))
+        assert doc.params.slope == minimal_slope(p)
+        lo, hi = minimal_slope_bracket(p)
+        with pytest.raises(SlopeBelowMinimumError):
+            ConstructionParams(p, 0, F(lo))
+        assert ConstructionParams(p, 0, F(hi)).slope == F(hi)
+
+    def test_horner_refusals(self):
+        refused = [
+            p for p in range(3, 102, 2)
+            if eval_slope_poly(p, minimal_slope(p)) < -FLOAT_TOL
+        ]
+        assert refused == HORNER_REFUSES_LAMBDA_P
+
+    @pytest.mark.parametrize("p", HORNER_REFUSES_LAMBDA_P)
+    def test_nothing_below_the_bracket_passes(self, p):
+        """The bracket's low end is accepted and the float below it is not."""
+        lo, _ = minimal_slope_bracket(p)
+        assert ConstructionParams(p, 0, lo).slope == lo
+        with pytest.raises(SlopeBelowMinimumError):
+            ConstructionParams(p, 0, math.nextafter(lo, 0))
+
+
+class TestRoundingBrokenBuild:
+    @pytest.mark.parametrize("p, slope, check", [
+        (21, 7.5, "(ordering broken between x_1 and x_0)"),
+        (5, 181.5, "(slopes are not all +-181.5: one is 1.1122835985588608e-09 off)"),
+        (3, 1e30, "(t must stay below 1)"),
+    ])
+    def test_float_build_refused_in_one_line(self, p, slope, check):
+        """A check that binary64 rounding breaks refuses the build with a
+        ValueError naming p, the slope and the check, with no slope list."""
+        with pytest.raises(ValueError) as err:
+            document_for(ConstructionParams(p, 0, slope))
+        message = str(err.value)
+        assert message == (
+            f"binary64 rounding breaks the odd type {p} build at slope {slope!r} "
+            f"{check}; give the slope as a fraction a/b"
+        )
+
+    def test_exact_forms_build(self):
+        assert len(document_for(ConstructionParams(21, 0, F(15, 2))).map.breakpoints) == 59
+        assert len(document_for(ConstructionParams(5, 0, F(363, 2))).map.breakpoints) == 32945
+
+    def test_exact_build_keeps_runtime_error(self, monkeypatch):
+        """A failed check on an exact build is a program fault, not an input
+        to refuse."""
+        def broken(*args):
+            raise RuntimeError("internal: ramp relation broken")
+
+        monkeypatch.setattr(construct, "_verify_orbit_system", broken)
+        with pytest.raises(RuntimeError, match="^internal: ramp relation broken$"):
+            document_for(ConstructionParams(5, 0, F(2)))
+        with pytest.raises(ValueError, match=r"\(ramp relation broken\)"):
+            document_for(ConstructionParams(5, 0, 2.0))

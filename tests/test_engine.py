@@ -688,7 +688,7 @@ def float_maps_and_points(draw):
 
 
 def eval_loop_return_time(m, x, n):
-    """return_time as a plain loop over the generic PLMap.eval."""
+    """A return time as a plain loop over the generic PLMap.eval."""
     y = x
     for j in range(1, n + 1):
         y = m.eval(y)
@@ -699,10 +699,10 @@ def eval_loop_return_time(m, x, n):
 
 def assert_return_times_match(m, points, outside):
     for x in points:
-        assert m.return_time(x, 6) == eval_loop_return_time(m, x, 6), x
+        assert m.return_times((x,), 6)[0] == eval_loop_return_time(m, x, 6), x
     for x in outside:
         with pytest.raises(ValueError, match="outside domain"):
-            m.return_time(x, 6)
+            m.return_times((x,), 6)[0]
 
 
 @ENGINES_AGREE
@@ -728,12 +728,12 @@ def test_exact_return_time_matches_eval_loop(m, interior, near):
 @given(exact_maps(), st.lists(UNIT, max_size=5), st.integers(0, 8))
 def test_return_times_match_one_walk_per_point(m, interior, n):
     """return_times walks each cycle once, and a walk past a point settles
-    it: the same times as return_time one point at a time, on breakpoints,
+    it: the same times as return_times one point at a time, on breakpoints,
     values, their images, periodic points of f^1..f^4 and floats."""
     m.branches_of_iterate(4)
     fixed = [F(*x) for fix in m._engine.fixed if isinstance(fix, list) for x in fix]
     points = [*m.breakpoints, *m.values, *map(m.eval, m.values), *fixed, *interior, 0.5]
-    assert m.return_times(points, n) == [m.return_time(x, n) for x in points]
+    assert m.return_times(points, n) == [m.return_times((x,), n)[0] for x in points]
     assert m.return_times(points, n) == [eval_loop_return_time(m, x, n) for x in points]
 
 

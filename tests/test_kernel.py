@@ -12,6 +12,7 @@ from intervalmaps import (
     eval_slope_poly,
     is_exact,
     minimal_slope,
+    parse_slope_text,
     scalar_from_str,
     scalar_to_str,
     slope_poly,
@@ -22,6 +23,25 @@ from oracles import fraction_from_str, slope_at_least_minimal
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 ODD_PS = list(range(3, 32, 2))
+
+
+@st.composite
+def slash_texts(draw):
+    """'num/den' texts with signs, zero and big numerators, negative
+    denominators, blanks around either side and underscores between digits."""
+    def spelled(value):
+        digits = str(abs(value))
+        if len(digits) > 1 and draw(st.booleans()):
+            cut = draw(st.integers(1, len(digits) - 1))
+            digits = digits[:cut] + "_" + digits[cut:]
+        sign = "-" if value < 0 else draw(st.sampled_from(["", "+"]))
+        blank = st.sampled_from(["", " ", "\t", "  "])
+        return draw(blank) + sign + digits + draw(blank)
+
+    big = st.integers(-(2**200), 2**200)
+    num = draw(st.one_of(st.just(0), st.integers(-50, 50), big))
+    den = draw(st.one_of(st.integers(-50, 50), big).filter(bool))
+    return spelled(num) + "/" + spelled(den)
 
 
 def synthetic_quotient_by_x_plus_1(coeffs_low_first):
@@ -138,28 +158,28 @@ class TestScalarText:
         assert scalar_to_str(Fraction(4, 8)) == "1/2"
 
     @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(st.data())
-    def test_parse_matches_fraction(self, data):
-        """The int-pair parse against Fraction(int(num), int(den)) on texts
-        with signs, zero and big numerators, negative denominators, blanks
-        around either side and underscores between digits."""
-        def spelled(value):
-            digits = str(abs(value))
-            if len(digits) > 1 and data.draw(st.booleans()):
-                cut = data.draw(st.integers(1, len(digits) - 1))
-                digits = digits[:cut] + "_" + digits[cut:]
-            sign = "-" if value < 0 else data.draw(st.sampled_from(["", "+"]))
-            blank = st.sampled_from(["", " ", "\t", "  "])
-            return data.draw(blank) + sign + digits + data.draw(blank)
-
-        big = st.integers(-(2**200), 2**200)
-        num = data.draw(st.one_of(st.just(0), st.integers(-50, 50), big))
-        den = data.draw(st.one_of(st.integers(-50, 50), big).filter(bool))
-        text = spelled(num) + "/" + spelled(den)
+    @given(slash_texts())
+    def test_parse_matches_fraction(self, text):
+        """The int-pair parse against Fraction(int(num), int(den))."""
         x, ref = scalar_from_str(text), fraction_from_str(text)
         assert type(x) is Fraction
         assert (x.numerator, x.denominator) == (ref.numerator, ref.denominator)
         assert x == ref and hash(x) == hash(ref)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(slash_texts())
+    def test_slope_text_matches_fraction(self, text):
+        """parse_slope_text reads a/b as scalar_from_str does, so it gives
+        the reduced Fraction that Fraction(text) gives wherever that parses,
+        and Fraction(int(num), int(den)) on every text."""
+        x = parse_slope_text(text, 3)
+        assert type(x) is Fraction
+        try:
+            refs = [Fraction(text), fraction_from_str(text)]
+        except ValueError:
+            refs = [fraction_from_str(text)]
+        for ref in refs:
+            assert (x.numerator, x.denominator) == (ref.numerator, ref.denominator)
 
     @pytest.mark.parametrize("text", ["1/0", " -3 / 0 ", "0/-0", "2_0/0_0"])
     def test_zero_denominator_message(self, text):

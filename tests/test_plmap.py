@@ -275,17 +275,17 @@ class TestPeriodicPoints:
 
     def test_return_time_is_least_period(self, f32):
         for x, lp in f32.map.periodic_points(6):
-            assert f32.map.return_time(x, 6) == lp
+            assert f32.map.return_times((x,), 6)[0] == lp
 
     def test_return_time_bounded_by_n(self, f52):
-        assert f52.map.return_time(F(0), 4) is None
-        assert f52.map.return_time(F(0), 5) == 5
+        assert f52.map.return_times((F(0),), 4)[0] is None
+        assert f52.map.return_times((F(0),), 5)[0] == 5
 
     def test_return_time_float_tolerance(self):
         built = odd_type_map(5, 1.9)
         x = built.markers.orbit[0]
-        assert built.map.return_time(x, 5) == 5
-        assert built.map.return_time(x + 1e-6, 5) is None
+        assert built.map.return_times((x,), 5)[0] == 5
+        assert built.map.return_times((x + 1e-6,), 5)[0] is None
 
 
 class TestConstantSlope:
