@@ -37,8 +37,9 @@ from .kernel import (
     minimal_slope_bracket,
     scalar_from_str,
     scalar_to_str,
+    slope_poly,
 )
-from .plmap import Interval, PLMap
+from .plmap import DEFAULT_BRANCH_CAP, BranchBudgetError, Interval, PLMap
 
 __all__ = [
     "ConstructedMap",
@@ -89,9 +90,8 @@ class ConstructionParams:
         s = as_scalar(self.slope)
         object.__setattr__(self, "slope", s)
         # s > 0 first: the slope polynomial also vanishes at -1
-        if is_exact(s):  # the sign of b^p times the slope polynomial at a/b
-            p, a, b = self.p, s.numerator, s.denominator
-            ok = a > 0 and a**p - 2 * a ** (p - 2) * b * b - b**p >= 0
+        if is_exact(s):
+            ok = s.numerator > 0 and slope_poly(self.p).sign_at(s.numerator, s.denominator) >= 0
         else:  # Horner alone refuses minimal_slope(p) from p = 29 on
             ok = s > 0 and eval_slope_poly(self.p, s) >= -FLOAT_TOL
             ok = ok or s >= minimal_slope_bracket(self.p)[0]
@@ -220,6 +220,8 @@ def odd_type_map(p: int, slope) -> ConstructedMap:
     else:
         t_used = t
         k = math.floor((s * ell) / (2 * height))
+        if 2 * k + 2 > DEFAULT_BRANCH_CAP:  # f's pieces, before the cap tent
+            raise BranchBudgetError(DEFAULT_BRANCH_CAP, 0)
         step = 2 * height / s
         left = inv
         for i in range(1, k + 1):

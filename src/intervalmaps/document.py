@@ -24,7 +24,7 @@ from typing import Optional
 from . import __version__
 from .construct import ConstructionParams, Markers, odd_type_map, square_root, verify_markers
 from .kernel import FLOAT_TOL, is_exact, scalar_from_str, scalar_to_str
-from .plmap import Interval, PLMap
+from .plmap import BranchBudgetError, Interval, PLMap
 
 FORMAT_ID = "interval-map/1"
 TOOL_ID = f"intervalmaps {__version__}"
@@ -174,7 +174,7 @@ def document_for(params: ConstructionParams, rescale: bool = True) -> MapDocumen
     try:
         built = odd_type_map(params.p, params.slope)
     except RuntimeError as exc:
-        if is_exact(params.slope):
+        if is_exact(params.slope) or isinstance(exc, BranchBudgetError):
             raise
         check = str(exc).removeprefix("internal: ")
         raise ValueError(

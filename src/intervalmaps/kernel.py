@@ -11,6 +11,7 @@ pair, with no Fraction.__new__ (_ratio reduces a pair by one gcd first).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -146,15 +147,22 @@ class IntPolynomial:
             acc = acc * x + c
         return as_scalar(acc)
 
+    def sign_at(self, num: int, den: int) -> int:
+        """The sign of den^deg * P(num/den), so of P(num/den) when den > 0, in ints."""
+        deg = len(self.coeffs) - 1
+        v = sum(c * num**i * den ** (deg - i) for i, c in enumerate(self.coeffs) if c)
+        return (v > 0) - (v < 0)
+
 
 def _require_odd(p: int) -> None:
     if not isinstance(p, int) or isinstance(p, bool) or p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd integer >= 3, got {p!r}")
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def slope_poly(p: int) -> IntPolynomial:
     """X^p - 2 X^(p-2) - 1, whose unique positive root is the minimal constant
-    slope achievable by a map of odd type p."""
+    slope achievable by a map of odd type p; the one writing of its terms."""
     _require_odd(p)
     coeffs = [0] * (p + 1)
     coeffs[0] = -1
@@ -181,23 +189,19 @@ def eval_slope_poly(p: int, x: Scalar) -> Scalar:
 
 
 def minimal_slope_bracket(p: int) -> Tuple[float, float]:
-    """Bisection bracket [lo, hi] around the positive root of slope_poly(p).
+    """Bisection bracket [lo, hi] of width <= 1e-12 holding lambda_p, the
+    positive (irrational) root of slope_poly(p), from [sqrt(2), 2] in floats.
 
-    Starts from [sqrt(2), 2], where the polynomial is -1 at the left end and
-    2^(p-1) - 1 at the right end, and narrows until hi - lo <= 1e-12 while
-    the sign change is preserved.
+    Each float midpoint is decided by the polynomial's exact sign there
+    (sign_at), and lo starts one float below sqrt(2) where lambda_p does.
     """
-    _require_odd(p)
-    poly = slope_poly(p)
+    sign_at = slope_poly(p).sign_at
     lo, hi = math.sqrt(2.0), 2.0
+    if sign_at(*lo.as_integer_ratio()) >= 0:
+        lo = math.nextafter(lo, 0.0)
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # ran out of float resolution
-            break
-        v = poly(mid)
-        if v == 0.0:
-            return (mid, mid)
-        if v < 0.0:
+        if sign_at(*mid.as_integer_ratio()) < 0:
             lo = mid
         else:
             hi = mid

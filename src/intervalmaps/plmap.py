@@ -252,18 +252,9 @@ class PLMap:
 
     def image(self, a: Interval) -> Interval:
         """Exact set-image of a closed subinterval: extrema over the endpoint
-        values and the values at breakpoints interior to a.
-
-        On an exact map, rational ends are reduced int pairs for the engine's
-        image step (_ExactEngine.image), which mixing traces iterate directly.
-        """
+        values and the values at breakpoints interior to a (exact where eval is)."""
         lo = self._clamp(a.lo)
         hi = self._clamp(a.hi)
-        if self.is_exact and type(lo) is Fraction and type(hi) is Fraction:
-            n0, d0, n1, d1 = self._engine.image(
-                (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
-            )
-            return Interval(*_fractions(((n0, d0), (n1, d1))))
         vals = [self.eval(lo), self.eval(hi)]
         start = bisect_right(self.breakpoints, lo)
         end = bisect_left(self.breakpoints, hi)
@@ -443,9 +434,9 @@ class PLMap:
     def return_times(self, xs, n: int) -> List[Optional[int]]:
         """The least j <= n with f^j(x) = x (within the map's tol), or None,
         for each x of xs, in order. Rational points of an exact map are int
-        pairs, and one walk (_walk) settles every point it passes, so a cycle
-        through many of them is walked once. Any other point takes the walk
-        of _returns, as closure within a float tol does not pass along an
+        pairs, and one walk (_walk) settles every point it passes, so each
+        orbit point is walked once. Any other point takes the walk of
+        _returns, as closure within a float tol does not pass along an
         orbit."""
         xs = list(map(as_scalar, xs))
         exact = self._lattice is not None
@@ -459,21 +450,24 @@ class PLMap:
             x = self._clamp(x)  # a point outside the domain raises
             start = (x.numerator, x.denominator)
             if start not in settled:
-                settled.update(self._walk(start, n))
+                settled.update(self._walk(start, n, settled))
             out.append(settled[start])
         return out
 
-    def _walk(self, start: Tuple[int, int], n: int) -> Dict[tuple, Optional[int]]:
+    def _walk(self, start: Tuple[int, int], n: int, settled: dict) -> Dict[tuple, Optional[int]]:
         """The return times within n (or None) that the orbit of the pair
-        start settles, by pair, walking at most 2n steps. The first repeat
-        y_W = y_c closes a cycle of length P = W - c: its points return at P
-        (None past n), and the points before it never return. With no repeat,
-        no point met by step n returns within n."""
+        start settles, by pair, walking at most 2n steps. Points before one
+        in settled are None: its cycle was walked whole, or it has no return
+        within n. The first repeat y_W = y_c closes a cycle of length P = W - c:
+        its points return at P (None past n), and the points before it never
+        return. With neither, no point met by step n returns within n."""
         point = self._engine.point
         index = {start: 0}
         y = start
         for step in range(1, 2 * n + 1):
             y = point(*y)
+            if y in settled:
+                return dict.fromkeys(index)
             c = index.get(y)
             if c is not None:
                 P = step - c

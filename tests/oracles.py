@@ -24,7 +24,9 @@ An exact map is held as ints from the moment its text is parsed; the Fraction
 formulas that lattice replaced are kept here as its second method:
 fraction_from_str parses a scalar, fraction_slopes and fraction_lattice give
 a map's slopes and its engine's integers, and slope_at_least_minimal is the
-Horner check of a slope against the minimal one.
+Horner check of a slope against the minimal one. The bracket of the minimal
+slope, now decided by exact integer signs, keeps its float-Horner bisection
+here (float_horner_bracket), which it must match bit for bit for p <= 105.
 """
 
 import math
@@ -467,6 +469,26 @@ def slope_at_least_minimal(p, s):
     """s > 0 and the slope polynomial X^p - 2 X^(p-2) - 1 is >= 0 at s, by
     Horner's rule in Fractions."""
     return s > 0 and eval_slope_poly(p, s) >= 0
+
+
+def float_horner_bracket(p):
+    """minimal_slope_bracket as first written: bisection from [sqrt(2), 2]
+    deciding each float midpoint by the sign of the slope polynomial's
+    binary64 Horner value. Its low end lies above lambda_p from p = 107 on,
+    where Horner's values near the root are rounding noise."""
+    lo, hi = math.sqrt(2.0), 2.0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        v = eval_slope_poly(p, mid)
+        if v == 0.0:
+            return (mid, mid)
+        if v < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo, hi)
 
 
 def fraction_slopes(m):

@@ -74,18 +74,18 @@ class TestBoundaryWalk:
         assert set(_boundary_periods(built.map, partition, p).values()) == {p, None}
 
     @pytest.mark.parametrize("p, slope, steps", [
-        (5, F(2), [10, 17, 17, 17]),
-        (7, F(2), [12, 23, 23, 23]),
-        (21, F(283, 200), [24, 43, 43, 43]),
-        (51, F(283, 200), [54, 103, 103, 103]),
-        (101, F(283, 200), [104, 203, 203, 203]),
+        (5, F(2), [7, 7, 7, 7]),
+        (7, F(2), [9, 9, 9, 9]),
+        (21, F(283, 200), [22, 22, 22, 22]),
+        (51, F(283, 200), [52, 52, 52, 52]),
+        (101, F(283, 200), [102, 102, 102, 102]),
     ])
     def test_steps_per_cycle(self, monkeypatch, p, slope, steps):
         """The _ExactEngine.point steps of the boundary walk at n = 1, p - 2,
-        p and 2p + 1. At n = p the ends on the marker p-cycle share one walk
-        of it, and an end off the cycle that no earlier walk met walks onto
-        it and round it once more; a walk per end would take about p times
-        as many steps."""
+        p and 2p + 1. Each orbit point is stepped from once: the ends on
+        the marker p-cycle share one walk of it (p steps), and each end off
+        the cycle takes one step onto 0, settled by then, and stops; a walk
+        per end would take about p times as many steps."""
         built = odd_type_map(p, slope)
         calls = []
         point = _ExactEngine.point

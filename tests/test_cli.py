@@ -10,6 +10,7 @@ import runpy
 import stat
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -99,6 +100,20 @@ class TestConstruct:
         assert err.startswith("error: binary64 rounding breaks the odd type ")
         assert err.count("\n") == 1 and len(err) < 300 and "Traceback" not in err
         assert err.endswith("; give the slope as a fraction a/b\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("slope", ["99999999999999999999999/3", "3e7"])
+    def test_huge_slope_exits_three(self, tmp_path, capsys, slope):
+        """A slope whose f alone has more pieces than the branch cap is
+        refused before the tent loop, as the cap refuses f^1."""
+        out = tmp_path / "x.json"
+        start = time.perf_counter()
+        assert main(["construct", "--p", "3", "--lambda", slope, "--out", str(out)]) == 3
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err == (
+            "budget exceeded: branch budget 10000000 exceeded; largest completed iterate n=0\n"
+        )
         assert not out.exists()
 
     def test_roundtrip_byte_identical(self, tmp_path):
@@ -408,6 +423,16 @@ class TestSweep:
         assert main(["sweep", "--p", "21", "--lambda", "7.5", "--out-dir", str(out_dir)]) == 2
         rows = (out_dir / "summary.csv").read_text().splitlines()[1:]
         assert rows == [f"21,0,7.5,,,{err.rstrip()},"]
+
+    def test_huge_slope_cell_row(self, tmp_path, capsys):
+        out_dir = tmp_path / "cells"
+        slope = "99999999999999999999999/3"
+        assert main(["sweep", "--p", "3", "--lambda", slope, "--out-dir", str(out_dir)]) == 2
+        rows = (out_dir / "summary.csv").read_text().splitlines()[1:]
+        assert rows == [
+            f"3,0,{slope},,,error: branch budget 10000000 exceeded; "
+            "largest completed iterate n=0,"
+        ]
 
     def test_tiny_target_names_failing_root(self, tmp_path, capsys):
         """h = 1e-200 needs d = 664, and the floating roots stop being maps at

@@ -13,6 +13,7 @@ cutting the branches of f^n, on the same integer lattice.
 """
 
 import gc
+import random
 import time
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -762,3 +763,27 @@ def test_lattice_image_matches_reference(m, data):
     for outside in (Interval(-F(1, 10**9), b), Interval(a, 1 + F(1, 10**9))):
         with pytest.raises(ValueError, match="outside domain"):
             m.image(outside)
+
+
+@pytest.mark.parametrize("path", RATIONAL_DOCS, ids=lambda path: path.stem)
+def test_engine_image_matches_plmap_image(path):
+    """The two image paths: _ExactEngine.image on int keys, which exact
+    mixing traces iterate, against PLMap.image through eval, on random
+    exact subintervals (some ending on breakpoints) of a fixture map."""
+    m = load_document(str(path)).map
+    bps = m.breakpoints
+    lo, width = bps[0], bps[-1] - bps[0]
+    rng = random.Random(path.stem)
+
+    def draw():
+        if rng.random() < 0.3:
+            return rng.choice(bps)
+        return lo + width * F(rng.randrange(10**6 + 1), 10**6)
+
+    for _ in range(60):
+        a, b = sorted((draw(), draw()))
+        image = m.image(Interval(a, b))
+        key = (a.numerator, a.denominator, b.numerator, b.denominator)
+        assert m._engine.image(key) == (
+            image.lo.numerator, image.lo.denominator, image.hi.numerator, image.hi.denominator
+        )

@@ -19,7 +19,7 @@ from intervalmaps import (
     slope_poly_quotient,
 )
 from intervalmaps.kernel import minimal_slope_bracket
-from oracles import fraction_from_str, slope_at_least_minimal
+from oracles import float_horner_bracket, fraction_from_str, slope_at_least_minimal
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 ODD_PS = list(range(3, 32, 2))
@@ -93,6 +93,32 @@ class TestPolynomials:
     def test_factorization(self, x, p):
         assert eval_slope_poly(p, x) == (x + 1) * slope_poly_quotient(p)(x)
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        poly=st.one_of(
+            st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=12)
+            .filter(lambda cs: len(cs) == 1 or cs[-1] != 0)
+            .map(lambda cs: IntPolynomial(tuple(cs))),
+            st.sampled_from(ODD_PS).map(slope_poly),
+            st.sampled_from(ODD_PS).map(slope_poly_quotient),
+        ),
+        num=st.one_of(st.integers(-(2**60), 2**60), st.integers(-5, 5)),
+        den=st.one_of(st.integers(1, 2**60), st.integers(1, 5)),
+    )
+    def test_sign_at_matches_fraction_horner(self, poly, num, den):
+        """sign_at's homogenised int sum against the sign of the Fraction
+        Horner value, on random, slope and quotient polynomials."""
+        v = poly(Fraction(num, den))
+        assert poly.sign_at(num, den) == (v > 0) - (v < 0)
+
+    @pytest.mark.parametrize("p", [3, 5, 107])
+    def test_sign_at_roots(self, p):
+        """-1 is a root of the slope polynomial, and sqrt(2) sits below its
+        positive root: 0 at -1/1, and the sign at float sqrt(2) flips at 107."""
+        assert slope_poly(p).sign_at(-1, 1) == 0
+        below = slope_poly(p).sign_at(*math.sqrt(2).as_integer_ratio())
+        assert below == (1 if p >= 107 else -1)
+
     def test_rejects_bad_p(self):
         for bad in (2, 4, 1, 0, -3):
             with pytest.raises(ValueError):
@@ -130,6 +156,24 @@ class TestMinimalSlope:
         lo, hi = minimal_slope_bracket(p)
         assert hi - lo <= 1e-12
         assert eval_slope_poly(p, lo) <= 0 <= eval_slope_poly(p, hi)
+
+    @pytest.mark.parametrize("p", range(3, 302, 2))
+    def test_bracket_exact_signs(self, p):
+        """The exact signs at the bracket's ends are - and +, also from
+        p = 107 on, where float sqrt(2) already lies above lambda_p."""
+        lo, hi = minimal_slope_bracket(p)
+        assert hi - lo <= 1e-12
+        sign_at = slope_poly(p).sign_at
+        assert sign_at(*lo.as_integer_ratio()) == -1
+        assert sign_at(*hi.as_integer_ratio()) == 1
+
+    @pytest.mark.parametrize("p", range(3, 106, 2))
+    def test_bracket_matches_float_horner(self, p):
+        """Up to p = 105 the exact signs pick the float-Horner bisection's
+        midpoints, so the bracket and minimal_slope keep every bit."""
+        lo, hi = float_horner_bracket(p)
+        assert minimal_slope_bracket(p) == (lo, hi)
+        assert minimal_slope(p).hex() == (0.5 * (lo + hi)).hex()
 
     @pytest.mark.parametrize("p", ODD_PS)
     def test_sign_lemma(self, p):
