@@ -159,7 +159,7 @@ def _require_odd(p: int) -> None:
         raise ValueError(f"p must be an odd integer >= 3, got {p!r}")
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+@functools.lru_cache(typed=True)  # 128 p at most; the result is immutable
 def slope_poly(p: int) -> IntPolynomial:
     """X^p - 2 X^(p-2) - 1, whose unique positive root is the minimal constant
     slope achievable by a map of odd type p; the one writing of its terms."""
