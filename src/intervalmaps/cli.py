@@ -29,7 +29,7 @@ import json
 import math
 import os
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from .analysis import (
     DEFAULT_Q_MAX,
@@ -40,7 +40,7 @@ from .analysis import (
 from .construct import ConstructionParams, parse_slope_text
 from .covering import EDGE_FULL, EDGE_PARTIAL, build_covering_graph
 from .document import document_for, load_document, save_document, write_text_atomic
-from .kernel import minimal_slope, scalar_to_str
+from .kernel import Scalar, minimal_slope, scalar_to_str
 from .plmap import (
     DEFAULT_BRANCH_CAP,
     BranchBudgetError,
@@ -307,13 +307,16 @@ def cmd_analyze(args) -> int:
 
 # ---------------------------------------------------------------- sweep
 
+_Cell = Tuple[int, int, str, Union[Scalar, str]]  # str: the text's parse error
 
-def _sweep_cells(args) -> List[Tuple[int, int, str]]:
-    """(p, d, slope text) cells in deterministic order, each map once: a cell
-    whose p, d and parsed slope repeat an earlier cell's is dropped, and the
-    first text kept. The slope's type is part of it, since an exact and a
-    floating slope build different maps. A text that does not parse stays,
-    so its row records the error."""
+
+def _sweep_cells(args) -> List[_Cell]:
+    """(p, d, slope text, slope) cells in deterministic order, each map once:
+    a cell whose p, d and parsed slope repeat an earlier cell's is dropped,
+    and the first text kept. The slope's type is part of it, since an exact
+    and a floating slope build different maps. Each text is parsed here
+    only; a text that does not parse stays, with its error message in place
+    of the slope, so its row records the error."""
     grid = []
     if args.target_entropy:
         min3 = math.log(minimal_slope(3))
@@ -342,23 +345,25 @@ def _sweep_cells(args) -> List[Tuple[int, int, str]]:
     for p, d, text in grid:
         try:
             slope = parse_slope_text(text, p)
-        except ValueError:
-            cells.append((p, d, text))
+        except ValueError as exc:
+            cells.append((p, d, text, str(exc)))
             continue
         key = (p, d, type(slope), slope)
         if key not in seen:
             seen.add(key)
-            cells.append((p, d, text))
+            cells.append((p, d, text, slope))
     return cells
 
 
-def _run_cell(cell: Tuple[int, int, str], args) -> Tuple[int, int, str, int, Tuple[str, ...]]:
+def _run_cell(cell: _Cell, args) -> Tuple[int, int, str, int, Tuple[str, ...]]:
     """(p, d, slope text, exit code, row fields from h_target on) of one
-    cell, built, saved and certified as analyze would; a cell that raises
-    gives an error row, which counts 2."""
-    p, d, slope_text = cell
+    cell, built, saved and certified as analyze would; a cell that raises,
+    or whose text did not parse, gives an error row, which counts 2."""
+    p, d, slope_text, slope = cell
     try:
-        params = ConstructionParams(p, d, parse_slope_text(slope_text, p))
+        if isinstance(slope, str):
+            raise ValueError(slope)
+        params = ConstructionParams(p, d, slope)
         doc = document_for(params)
         slug = scalar_to_str(params.slope).replace("/", "_")
         save_document(doc, os.path.join(args.out_dir, f"map_p{p}_d{d}_lam{slug}.json"))

@@ -72,11 +72,13 @@ class SlopeBelowMinimumError(ValueError):
 class ConstructionParams:
     """Parameters (p, doublings, slope) for a type 2^d * p build.
 
-    The one record of a build's parameters: the CLI validates its arguments
-    here, and a loaded document its params. A rational slope is checked
-    against the minimal one exactly. A floating one passes if the slope
-    polynomial there is at least -FLOAT_TOL, or if the slope is at least the
-    low end of minimal_slope_bracket(p), the bracket that holds lambda_p.
+    The one record of a build's parameters and the one slope rule: the CLI
+    validates its arguments here, a loaded document its params, and
+    orbit_and_t (so odd_type_map) its slope. A slope <= 0 is refused. A
+    rational slope is checked against the minimal one exactly. A floating
+    one passes if the slope polynomial there is at least -FLOAT_TOL, or if
+    the slope is at least the low end of minimal_slope_bracket(p), the
+    bracket that holds lambda_p.
     """
 
     p: int
@@ -153,14 +155,14 @@ def orbit_and_t(p: int, slope) -> Tuple[Tuple[Scalar, ...], Scalar]:
     For i <= p-4, x_i = ((-1)^i / s^(p-i-2)) * sum_{j=0}^{p-i-3} (-s)^j; the
     last three points are pinned at 1/s, 0, 1, and
     t = (s^(p-1) - sum_{j=0}^{p-3} (-s)^j) / s^(p-1).
-    The returned values are re-verified against the defining relations
-    x_{i+1} = 1 - s*x_i and x_0 = s*(1 - t) and against the required ordering;
-    t < 1/s (beyond FLOAT_TOL when floating) means the slope is below minimal.
+    The slope must pass ConstructionParams, the one admissibility rule, which
+    raises SlopeBelowMinimumError otherwise. The returned values are
+    re-verified against the defining relations x_{i+1} = 1 - s*x_i and
+    x_0 = s*(1 - t) and against the required ordering.
     Floats are added left to right, as sum() did before Python 3.12
     compensated its rounding, so the orbit is the same on every Python.
     """
-    _require_odd(p)
-    s = as_scalar(slope)
+    s = ConstructionParams(p, 0, slope).slope
     exact = is_exact(s)
     tol = _tolerance(exact)
     one: Scalar = Fraction(1) if exact else 1.0
@@ -172,10 +174,6 @@ def orbit_and_t(p: int, slope) -> Tuple[Tuple[Scalar, ...], Scalar]:
     xs[p - 2] = one - one
     xs[p - 1] = one
     t = (s ** (p - 1) - reduce(add, ((-s) ** j for j in range(p - 2)), 0)) / s ** (p - 1)
-
-    if t - xs[p - 3] < -tol:
-        raise SlopeBelowMinimumError(p, s)
-
     _verify_orbit_system(p, s, xs, t, tol)
     return tuple(xs), t
 
@@ -301,7 +299,9 @@ def square_root(f: PLMap, rescale: bool = True) -> PLMap:
 
     g = f + 2b on [0, b], linear down to (2b, 0), then the translation
     x - 2b on [2b, 3b]; g has twice the type and half the entropy of f.
-    With rescale the result is conjugated back onto [0, 1].
+    With rescale the result is conjugated back onto [0, 1] by x -> (x - a) / w,
+    a the first breakpoint and w the last minus a, applied to g's tuples
+    before its one PLMap is made.
     """
     if f.breakpoints[0] != 0:
         raise ValueError("square root needs a domain starting at 0")
@@ -309,8 +309,12 @@ def square_root(f: PLMap, rescale: bool = True) -> PLMap:
     zero: Scalar = Fraction(0) if f.is_exact else 0.0
     bps = tuple(f.breakpoints) + (2 * b, 3 * b)
     vals = tuple(v + 2 * b for v in f.values) + (zero, b)
-    g = PLMap(bps, vals)
-    return g.rescaled_to_unit() if rescale else g
+    if rescale:
+        a = bps[0]
+        w = bps[-1] - a
+        bps = tuple((x - a) / w for x in bps)
+        vals = tuple((v - a) / w for v in vals)
+    return PLMap(bps, vals)
 
 
 def parse_slope_text(text: str, p: int) -> Scalar:

@@ -188,6 +188,7 @@ def eval_slope_poly(p: int, x: Scalar) -> Scalar:
     return slope_poly(p)(as_scalar(x))
 
 
+@functools.lru_cache(typed=True)  # one bisection per p; as slope_poly, 128 p at most
 def minimal_slope_bracket(p: int) -> Tuple[float, float]:
     """Bisection bracket [lo, hi] of width <= 1e-12 holding lambda_p, the
     positive (irrational) root of slope_poly(p), from [sqrt(2), 2] in floats.

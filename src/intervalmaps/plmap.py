@@ -336,19 +336,18 @@ class PLMap:
         of images measured no faster); a division with a remainder raises
         ArithmeticError."""
         e = self._engine
-        scale = e.R ** (n_max - 1)
+        A, R = e.A, e.R
+        scale = R ** (n_max - 1)
         S = e.D * scale
         bs = [b * scale for b in e.B]
         vs = [v * scale for v in e.V]
         head = bs[:-1]  # so that the domain's right end lies in the last piece
-        steps = [(s.numerator, s.denominator) for s in self.slopes]
         # cuts are breakpoints, so their denominators divide D
         cuts = [c.numerator * (S // c.denominator) for c in cuts]
 
         def f(x: int) -> int:
             k = bisect_right(head, x) - 1
-            num, den = steps[k]
-            step, rem = divmod(num * (x - bs[k]), den)
+            step, rem = divmod(A[k] * (x - bs[k]), R)
             if rem:
                 raise ArithmeticError(f"f({x}/{S}) is not a multiple of 1/{S}")
             return vs[k] + step
@@ -437,7 +436,9 @@ class PLMap:
         pairs, and one walk (_walk) settles every point it passes, so each
         orbit point is walked once. Any other point takes the walk of
         _returns, as closure within a float tol does not pass along an
-        orbit."""
+        orbit. An n below 0 raises ValueError in both modes."""
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
         xs = list(map(as_scalar, xs))
         exact = self._lattice is not None
         settled: Dict[Tuple[int, int], Optional[int]] = {}
@@ -504,17 +505,6 @@ class PLMap:
             else:
                 break
         return out
-
-    # -- conjugacy helpers -------------------------------------------------------
-
-    def rescaled_to_unit(self) -> "PLMap":
-        """Affine conjugate on [0, 1] (same type, same entropy)."""
-        a = self.breakpoints[0]
-        w = self.breakpoints[-1] - a
-        return PLMap(
-            tuple((b - a) / w for b in self.breakpoints),
-            tuple((v - a) / w for v in self.values),
-        )
 
 
 class _IdentityBranch(NamedTuple):
@@ -598,17 +588,21 @@ class _ExactEngine(_Engine):
     so a multiple of 1/X with X = D*L^(n-1), and its f^n value an image of
     one, so a multiple of 1/Y with Y = D*R^(n-1). A preimage under piece j
     multiplies by c_j = R*L/A_j, an integer because |the numerator of s_j|
-    divides L, and refine checks that it is.
+    divides L; the factors are made and checked once per map, here.
     """
 
     def __init__(self, f: "PLMap"):
         super().__init__()
         slopes = f.slopes
         self.D, self.B, self.V = f._lattice
-        self.L = math.lcm(*(abs(s.numerator) for s in slopes))
+        self.L = L = math.lcm(*(abs(s.numerator) for s in slopes))
         self.R = R = math.lcm(*(s.denominator for s in slopes))
         # f(y) = v_j + s_j (y - b_j), with s_j = A[j] / R
-        self.A = [s.numerator * (R // s.denominator) for s in slopes]
+        self.A = A = [s.numerator * (R // s.denominator) for s in slopes]
+        self.c = [R * L // a for a in A]  # the preimage factors c_j = R*L/A_j of refine
+        for j, a in enumerate(A):
+            if a * self.c[j] != R * L:
+                raise ArithmeticError(f"preimage under piece {j} is not a multiple of 1/(D*L^n)")
 
     def point(self, num: int, den: int) -> Tuple[int, int]:
         """f(num/den) as a reduced pair, for a reduced pair (den > 0) in the
@@ -654,10 +648,10 @@ class _ExactEngine(_Engine):
         f^(n+1) are b_j and the preimages of the ends of f^n strictly inside
         f(piece j), where f^(n+1) takes f^n's values; b_j takes f(f^n(b_j)).
         On the lattice the preimage of x over X_n is x' = B_j*L^n +
-        c_j*(x - V_j*L^(n-1)) over X_(n+1), with c_j = R*L/A_j an integer,
-        and a value y over Y_n is y*R over Y_(n+1). Where c_j is 1 or -1, as
-        on every piece of a constant integer slope, x' is one add or
-        subtract."""
+        c_j*(x - V_j*L^(n-1)) over X_(n+1), with the factor c_j made by
+        __init__, and a value y over Y_n is y*R over Y_(n+1). Where c_j is 1
+        or -1, as on every piece of a constant integer slope, x' is one add
+        or subtract."""
         n, B, V, A, L, R = it.n, self.B, self.V, self.A, self.L, self.R
         Ln = L ** (n - 1)
         scale = R ** (n - 1)
@@ -674,13 +668,7 @@ class _ExactEngine(_Engine):
 
         new_xs: List[int] = []
         new_ys: List[int] = []
-        for j, (b, u, w, a) in enumerate(zip(B, V, V[1:], A)):
-            c, rem = divmod(R * L, a)
-            if rem:
-                raise ArithmeticError(
-                    f"preimage under piece {j} of f is not a multiple "
-                    f"of 1/{self.D * L ** n}"
-                )
+        for b, u, w, a, c in zip(B, V, V[1:], A, self.c):
             new_xs.append(b * Ln * L)
             new_ys.append(at_breakpoint(b))
             # the ends of f^n strictly inside f(piece j), in the order of their

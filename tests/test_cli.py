@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from intervalmaps import verify_type
+from intervalmaps import cli, verify_type
 from intervalmaps.cli import _build_parser, main
 from intervalmaps.document import MapDocument, load_document
 
@@ -622,6 +622,43 @@ class TestSweep:
         assert main(["sweep", "--lambda", 'a"b', "--out-dir", str(out_dir)]) == 2
         rows = (out_dir / "summary.csv").read_text().splitlines()[1:]
         assert rows == ['3,0,"a""b",,,"error: could not convert string to float: \'a""b\'",']
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_each_grid_text_parsed_once(self, tmp_path, capsys, monkeypatch, workers):
+        """Each cell's slope text is parsed once, where the cells are made,
+        and the cell carries its slope (or its parse error) into the fork
+        pool: lambda_p, an exact slope, a text that does not parse and one
+        below the minimum give their usual rows and exit 2. Each parse is
+        logged to a file, so that a worker's parses count too."""
+        log = tmp_path / "parses.log"
+        parse = cli.parse_slope_text
+
+        def logged(text, p):
+            with open(log, "a") as handle:
+                handle.write(f"{text} {p}\n")
+            return parse(text, p)
+
+        monkeypatch.setattr(cli, "parse_slope_text", logged)
+        texts = ["lambda_p", "17/10", "abc", "1"]
+        out_dir = tmp_path / "cells"
+        code = main(["sweep", "--p", "3", "--d", "0,1", "--lambda", ",".join(texts),
+                     "--entropy-n", "4", "--type-q", "5", "--mixing-grid", "2",
+                     "--workers", workers, "--out-dir", str(out_dir)])
+        assert code == 2
+        parsed = [line for line in log.read_text().splitlines() if line.split()[0] in texts]
+        assert sorted(parsed) == sorted(f"{text} 3" for text in texts for _d in (0, 1))
+        below = "error: slope 1/1 is below the minimal admissible slope for odd type 3: "
+        unparsable = "error: could not convert string to float: 'abc'"
+        assert (out_dir / "summary.csv").read_text().splitlines()[1:] == [
+            f"3,0,1,,,{below}1.618033988750,",
+            "3,0,17/10,0.530628,0.573328,consistent,15",
+            f"3,0,abc,,,{unparsable},",
+            "3,0,lambda_p,0.481212,0.593489,consistent,17",
+            f"3,1,1,,,{below}1.618033988750,",
+            "3,1,17/10,0.265314,0.556623,consistent,",
+            f"3,1,abc,,,{unparsable},",
+            "3,1,lambda_p,0.240606,0.595064,consistent,",
+        ]
 
 
 def test_cli_import_loads_no_pool():

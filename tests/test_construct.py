@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intervalmaps import (
@@ -20,8 +20,10 @@ from intervalmaps import (
 )
 from intervalmaps import construct
 from intervalmaps.document import MapDocument, document_for
-from intervalmaps.kernel import FLOAT_TOL, eval_slope_poly, minimal_slope_bracket
-from oracles import iterate, stefan_map_by_dict
+from intervalmaps.kernel import (
+    FLOAT_TOL, IntPolynomial, eval_slope_poly, minimal_slope_bracket
+)
+from oracles import iterate, slope_at_least_minimal, stefan_map_by_dict
 
 F = Fraction
 
@@ -273,6 +275,93 @@ class TestParams:
         with pytest.raises(SlopeBelowMinimumError):
             ConstructionParams(3, 0, parse_slope_text("3/-2", 3))
         assert ConstructionParams(7, 0, parse_slope_text("3 / 2", 7)).slope == F(3, 2)
+
+
+def params_at_d0(p, slope):
+    return ConstructionParams(p, 0, slope)
+
+
+def admitted(build, p, slope) -> bool:
+    """False when build(p, slope) raises SlopeBelowMinimumError, else True.
+    A floating build that binary64 rounding breaks after the slope passed
+    (a check's RuntimeError or a marker's ValueError, as at lambda_p + 1e-8
+    for p = 3) admitted the slope; an exact one may not fail so."""
+    try:
+        build(p, slope)
+    except SlopeBelowMinimumError:
+        return False
+    except (RuntimeError, ValueError):
+        if isinstance(slope, F):
+            raise
+    return True
+
+
+@st.composite
+def slopes_near_lambda_p(draw):
+    """(p, slope) for odd p <= 15: a float or a rational on either side of
+    lambda_p, close to it or not, or a slope <= 0."""
+    p = draw(st.sampled_from(range(3, 16, 2)))
+    offset = draw(st.one_of(
+        st.sampled_from([-5e-10, -2e-12, 2e-12, 5e-10]),
+        st.floats(-1e-7, 1e-7),
+        st.floats(-0.3, 0.3),
+    ))
+    slope = minimal_slope(p) + offset
+    kind = draw(st.sampled_from(["float", "rational", "nonpositive"]))
+    if kind == "rational":
+        return p, F(slope).limit_denominator(draw(st.sampled_from([10**6, 10**13])))
+    if kind == "nonpositive":
+        return p, draw(st.sampled_from([F(0), F(-1), F(-2), 0.0, -2.0]))
+    return p, slope
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(cell=slopes_near_lambda_p())
+# a float just below lambda_p, and slopes <= 0: all three refuse each
+@example(cell=(3, minimal_slope(3) - 5e-10))
+@example(cell=(3, F(0)))
+@example(cell=(3, 0.0))
+@example(cell=(3, F(-2)))
+@example(cell=(3, -2.0))
+def test_one_slope_rule(cell):
+    """orbit_and_t and odd_type_map refuse a slope exactly when
+    ConstructionParams does, with SlopeBelowMinimumError, and on rationals
+    exactly when the slope polynomial's Fraction value says it is below
+    lambda_p (or the slope is not positive)."""
+    p, slope = cell
+    rule = admitted(params_at_d0, p, slope)
+    assert admitted(orbit_and_t, p, slope) == rule
+    assert admitted(odd_type_map, p, slope) == rule
+    if isinstance(slope, F):
+        assert rule == slope_at_least_minimal(p, slope)
+
+
+def test_lambda_p_bisected_once_per_p(monkeypatch):
+    """minimal_slope, parse_slope_text('lambda_p'), SlopeBelowMinimumError
+    and the floating check of ConstructionParams (which reads the bracket at
+    p = 29, where Horner refuses lambda_p) share one bisection per p: the
+    sign_at calls of all of them, made three times over, are those of one
+    uncached bisection."""
+    calls = []
+    sign_at = IntPolynomial.sign_at
+
+    def counted(poly, num, den):
+        calls.append(num)
+        return sign_at(poly, num, den)
+
+    monkeypatch.setattr(IntPolynomial, "sign_at", counted)
+    bracket = minimal_slope_bracket.__wrapped__(29)
+    one_bisection = len(calls)
+    minimal_slope_bracket.cache_clear()
+    calls.clear()
+    for _ in range(3):
+        lam = minimal_slope(29)
+        assert parse_slope_text("lambda_p", 29) == lam
+        assert ConstructionParams(29, 0, lam).slope == lam
+        with pytest.raises(SlopeBelowMinimumError):
+            ConstructionParams(29, 0, 1.4)
+    assert len(calls) == one_bisection > 0
+    assert minimal_slope_bracket(29) == bracket
 
 
 # Horner's test alone refuses the rounded lambda_p at these p, where the

@@ -13,6 +13,7 @@ cutting the branches of f^n, on the same integer lattice.
 """
 
 import gc
+import math
 import random
 import time
 from bisect import bisect_left, bisect_right
@@ -240,9 +241,12 @@ def test_branch_counts(f32):
     assert [len(m.branches_of_iterate(q)) for q in (1, 4, 5)] == [4, 30, 67]
 
 
-def test_inexact_cut_is_caught(f52):
+def test_inexact_cut_is_caught(f52, monkeypatch):
+    """The engine makes its preimage factors c_j = R*L/A_j once, when it is
+    made, and checks each is an integer."""
     m = fresh(f52.map)
-    m._engine.L = 1  # wrong common denominator: f52's slopes are +-2
+    # wrong common denominator L = 1: f52's slopes are +-2, so c_j = 1/2
+    monkeypatch.setattr(math, "lcm", lambda *ints: 1)
     with pytest.raises(ArithmeticError, match="not a multiple"):
         m.branches_of_iterate(4)
 
@@ -513,10 +517,13 @@ def test_deep_lattice_graph_matches_fraction_graph(deep_maps, name, n):
 
 
 def test_off_lattice_node_end_is_caught(maps):
+    """_hits steps node ends with the engine's own A and R, so a node end
+    off the lattice comes from a cut that is no breakpoint: 1/3 lies off
+    the scale D*R^7 of f5_17/10 (D = 1670420, R = 10), and f of it is no
+    multiple of 1/S."""
     m = fresh(maps["f5_17/10"])
-    m._engine.R = 1  # wrong common denominator: the slopes are +-17/10
     with pytest.raises(ArithmeticError, match="not a multiple"):
-        m.lap_growth(8)
+        m._hits((F(1, 3),), 8)
 
 
 # Recorded from the per-q float engine this one replaced; floats must not move.

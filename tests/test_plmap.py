@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from intervalmaps import (
     Interval,
     PLMap,
     odd_type_map,
+    square_root,
     stefan_map,
 )
 from intervalmaps.document import load_document
@@ -20,6 +22,7 @@ from oracles import eval_by_index, fraction_lattice, fraction_slopes, iterate, r
 from test_analysis import RATIONAL_DOCS
 
 F = Fraction
+DATA = Path(__file__).parent / "data"
 
 
 def grid_scan_fixed_points(m, q, exponent=20):
@@ -162,9 +165,6 @@ class TestLaps:
         assert f32.map.lap_growth(1) == [4]
         assert f52.map.lap_growth(1) == [6]
 
-    def test_stefan_rescaled(self):
-        assert stefan_map(3).rescaled_to_unit().lap_growth(1) == [2]
-
     def test_same_direction_pieces_merge(self, stefan5):
         # slopes -1, -2, -1, +2: three falling pieces form one lap
         assert stefan5.lap_growth(1) == [2]
@@ -287,6 +287,17 @@ class TestPeriodicPoints:
         assert built.map.return_times((x,), 5)[0] == 5
         assert built.map.return_times((x + 1e-6,), 5)[0] is None
 
+    def test_negative_n_refused_exact(self, f52):
+        assert f52.map.return_times((F(0),), 0) == [None]
+        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+            f52.map.return_times((F(0),), -1)
+
+    def test_negative_n_refused_floating(self):
+        m = odd_type_map(5, 1.9).map
+        assert m.return_times((0.0,), 0) == [None]
+        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+            m.return_times((0.0,), -1)
+
 
 class TestConstantSlope:
     def test_exact_true(self, f52):
@@ -308,12 +319,36 @@ class TestConstantSlope:
         assert all(d == 0 for d in report.deviations)
 
 
+def float_bits(xs):
+    return [float.hex(x) for x in xs]
+
+
 class TestConjugacy:
-    def test_rescaled_to_unit(self, stefan5):
-        unit = stefan5.rescaled_to_unit()
-        assert unit.domain == Interval(F(0), F(1))
-        assert unit.lap_growth(1) == stefan5.lap_growth(1) == [2]
-        assert unit.lap_growth(6) == stefan5.lap_growth(6)
+    def test_square_root_rescale_maps_the_raw_root(self):
+        """square_root(f) is square_root(f, rescale=False) conjugated onto
+        [0, 1] by x -> (x - a) / w, a its first breakpoint and w its last
+        minus a: bit for bit on every floating fixture, equal on the exact
+        ones and on the Stefan maps. The conjugate keeps the laps."""
+        maps = [load_document(path).map for path in sorted(DATA.glob("map_*.json"))]
+        maps += [stefan_map(3), stefan_map(5)]
+        floating = 0
+        for f in maps:
+            raw, unit = square_root(f, rescale=False), square_root(f)
+            a = raw.breakpoints[0]
+            w = raw.breakpoints[-1] - a
+            bps = tuple((x - a) / w for x in raw.breakpoints)
+            vals = tuple((v - a) / w for v in raw.values)
+            assert unit.is_exact == f.is_exact
+            if f.is_exact:
+                assert (unit.breakpoints, unit.values) == (bps, vals)
+                assert unit.lap_growth(6) == raw.lap_growth(6)
+            else:
+                floating += 1
+                assert float_bits(unit.breakpoints) == float_bits(bps)
+                assert float_bits(unit.values) == float_bits(vals)
+            assert unit.domain == Interval(0, 1)
+            assert unit.lap_growth(1) == raw.lap_growth(1)
+        assert floating == 12
 
 
 @st.composite
