@@ -46,6 +46,15 @@ def grid_scan_fixed_points(m, q, exponent=20):
     return sorted(roots)
 
 
+def unit_conjugate(f):
+    """The breakpoints and values of f conjugated onto [0, 1] by
+    x -> (x - a) / w, a the first breakpoint and w the last minus a."""
+    a = f.breakpoints[0]
+    w = f.breakpoints[-1] - a
+    return (tuple((x - a) / w for x in f.breakpoints),
+            tuple((v - a) / w for v in f.values))
+
+
 class TestValidation:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
@@ -164,6 +173,9 @@ class TestLaps:
     def test_lap_counts(self, f32, f52):
         assert f32.map.lap_growth(1) == [4]
         assert f52.map.lap_growth(1) == [6]
+
+    def test_stefan_rescaled(self):
+        assert PLMap(*unit_conjugate(stefan_map(3))).lap_growth(1) == [2]
 
     def test_same_direction_pieces_merge(self, stefan5):
         # slopes -1, -2, -1, +2: three falling pieces form one lap
@@ -324,6 +336,12 @@ def float_bits(xs):
 
 
 class TestConjugacy:
+    def test_rescaled_to_unit(self, stefan5):
+        unit = PLMap(*unit_conjugate(stefan5))
+        assert unit.domain == Interval(F(0), F(1))
+        assert unit.lap_growth(1) == stefan5.lap_growth(1) == [2]
+        assert unit.lap_growth(6) == stefan5.lap_growth(6)
+
     def test_square_root_rescale_maps_the_raw_root(self):
         """square_root(f) is square_root(f, rescale=False) conjugated onto
         [0, 1] by x -> (x - a) / w, a its first breakpoint and w its last
@@ -334,10 +352,7 @@ class TestConjugacy:
         floating = 0
         for f in maps:
             raw, unit = square_root(f, rescale=False), square_root(f)
-            a = raw.breakpoints[0]
-            w = raw.breakpoints[-1] - a
-            bps = tuple((x - a) / w for x in raw.breakpoints)
-            vals = tuple((v - a) / w for v in raw.values)
+            bps, vals = unit_conjugate(raw)
             assert unit.is_exact == f.is_exact
             if f.is_exact:
                 assert (unit.breakpoints, unit.values) == (bps, vals)
