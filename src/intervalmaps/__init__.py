@@ -38,7 +38,6 @@ from .kernel import (
     IntPolynomial,
     Scalar,
     as_scalar,
-    eval_slope_poly,
     is_exact,
     minimal_slope,
     scalar_from_str,
@@ -79,7 +78,6 @@ __all__ = [
     "as_scalar",
     "build_covering_graph",
     "estimate_entropy",
-    "eval_slope_poly",
     "expected_period_set",
     "is_exact",
     "minimal_slope",

@@ -22,7 +22,7 @@ from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .covering import CoveringGraph, build_covering_graph, primitive_cycle_census
-from .kernel import FLOAT_TOL, Scalar, _ratio, as_scalar, is_exact, scalar_to_str
+from .kernel import FLOAT_TOL, Scalar, _fraction, _ratio, as_scalar, is_exact, scalar_to_str
 from .plmap import DEFAULT_BRANCH_CAP, BranchBudgetError, Interval, PLMap
 from .sharkovskii import SharkovskiiValue, _key as _sharkovskii_key, expected_period_set
 
@@ -295,17 +295,17 @@ def _key(a: Interval) -> Tuple[int, int, int, int]:
 
 
 def _first_cover(
-    f: PLMap, dom: Interval, seed: Interval, cap: int, known: dict, exact: bool
+    f: PLMap, dom: Interval, seed: Interval, cap: int, known: dict
 ) -> Optional[int]:
     """The first n <= cap with f^n(seed) equal to dom, f's domain (within
-    FLOAT_TOL at each end unless exact), cut short by known, a table of
+    FLOAT_TOL at each end on a floating map), cut short by known, a table of
     image -> first cover time (math.inf: never). An image met at step n
     with time r gives n + r, None past cap. A new image enters known as
     inf, so a repeat within the trace, a cycle that never covers, gives None
     too; it gets its true time when the trace ends, or leaves known at the
-    cap. An exact trace iterates the engine's image step on int keys; a
-    floating one takes PLMap.image on Intervals."""
-    if exact:
+    cap. An exact map's trace iterates the engine's image step on int keys;
+    a floating one's takes PLMap.image on Intervals."""
+    if f.is_exact:
         image, cur, covers = f._engine.image, _key(seed), _key(dom).__eq__
     else:
         image, cur = f.image, seed
@@ -348,7 +348,7 @@ def _exact_seeds(dom: Interval, w: Fraction, grid: int) -> List[Interval]:
 
 
 def _float_seeds(dom: Interval, w: float, grid: int) -> List[Interval]:
-    """The seeds of a floating width, or on a floating map."""
+    """The seeds of a floating map."""
     span = dom.hi - dom.lo
     seeds = []
     for i in range(grid):
@@ -363,10 +363,13 @@ def verify_mixing(
     """Check that every seed interval eventually covers the whole domain.
 
     Seeds of the given width are centered at (2i+1)/(2*grid) across the
-    domain (clipped to it). With an exact width on an exact map the seeds are
-    laid out in ints over one common denominator and become Fractions without
-    Fraction.__new__; their Fraction-arithmetic layout is mixing_seeds in
-    tests/oracles.py. Failures at the cap are recorded, not raised.
+    domain (clipped to it). The map decides the arithmetic. An exact map is
+    traced exactly for any width, a float width taken at its binary64 value
+    (2.0**-10 is 1/1024); its seeds are laid out in ints over one common
+    denominator and become Fractions without Fraction.__new__, and their
+    Fraction-arithmetic layout is mixing_seeds in tests/oracles.py. A
+    floating map is traced in floats. Failures at the cap are recorded, not
+    raised.
     The seeds' orbits merge, so each image a trace settles is kept with its
     first cover time (or as never covering), and a later trace stops at it.
     The first cover times are those of tests/oracles.py's mixing_trace, the
@@ -377,13 +380,14 @@ def verify_mixing(
         raise ValueError("seed_width must be positive")
     if grid < 1 or cap < 1:
         raise ValueError("grid and cap must be >= 1")
-    exact = f.is_exact and is_exact(w)
-    if not exact:
+    if not f.is_exact:
         w = float(w)
+    elif not is_exact(w):
+        w = _fraction(*w.as_integer_ratio())
     dom = f.domain
-    seeds = _exact_seeds(dom, w, grid) if exact else _float_seeds(dom, w, grid)
+    seeds = (_exact_seeds if f.is_exact else _float_seeds)(dom, w, grid)
     known: dict = {}  # image -> first cover time, shared by every trace
-    firsts = [_first_cover(f, dom, seed, cap, known, exact) for seed in seeds]
+    firsts = [_first_cover(f, dom, seed, cap, known) for seed in seeds]
     hits = [n for n in firsts if n is not None]
     return MixingReport(
         seed_width=w,

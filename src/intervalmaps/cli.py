@@ -156,7 +156,9 @@ def _build_parser() -> _Parser:
         nargs=3,
         default=None,
         metavar=("WIDTH", "GRID", "CAP"),
-        help="seed width ('a/b' exact or decimal), grid size, iteration cap",
+        help="seed width, grid size, iteration cap; a rational document is "
+        "traced exactly, a decimal width taken at its binary64 value, and "
+        "'a/b' gives round seeds",
     )
     a.add_argument("--graph", default=None, metavar="DOT_PATH")
     a.add_argument("--csv", dest="csv_path", default=None, metavar="CSV_PATH")
@@ -318,7 +320,7 @@ def _sweep_cells(args) -> List[_Cell]:
     only; a text that does not parse stays, with its error message in place
     of the slope, so its row records the error."""
     grid = []
-    if args.target_entropy:
+    if args.target_entropy is not None:
         min3 = math.log(minimal_slope(3))
         for text, h in args.target_entropy:
             d = 0
@@ -334,12 +336,12 @@ def _sweep_cells(args) -> List[_Cell]:
             grid.append((3, d, repr(slope)))
     else:
         slopes = [x.strip() for x in args.slope_list.split(",") if x.strip()]
-        if not args.p or not args.d or not slopes:
-            raise _UsageError("empty sweep grid")
         for p in sorted(set(args.p)):
             for d in sorted(set(args.d)):
                 for slope in slopes:
                     grid.append((p, d, slope))
+    if not grid:
+        raise _UsageError("empty sweep grid")
     seen = set()
     cells = []
     for p, d, text in grid:

@@ -25,13 +25,11 @@ from typing import Dict, List, Tuple
 
 from .covering import check_partition
 from .kernel import (
-    FLOAT_TOL,
     Scalar,
     _require_odd,
     _tolerance,
     _within,
     as_scalar,
-    eval_slope_poly,
     is_exact,
     minimal_slope,
     minimal_slope_bracket,
@@ -76,9 +74,8 @@ class ConstructionParams:
     validates its arguments here, a loaded document its params, and
     orbit_and_t (so odd_type_map) its slope. A slope <= 0 is refused. A
     rational slope is checked against the minimal one exactly. A floating
-    one passes if the slope polynomial there is at least -FLOAT_TOL, or if
-    the slope is at least the low end of minimal_slope_bracket(p), the
-    bracket that holds lambda_p.
+    one passes iff it is at least the low end of minimal_slope_bracket(p),
+    which is positive and lies below lambda_p, within 1e-12 of it.
     """
 
     p: int
@@ -91,12 +88,10 @@ class ConstructionParams:
             raise ValueError(f"doublings must be a nonnegative integer, got {self.doublings!r}")
         s = as_scalar(self.slope)
         object.__setattr__(self, "slope", s)
-        # s > 0 first: the slope polynomial also vanishes at -1
-        if is_exact(s):
+        if is_exact(s):  # s > 0 first: the slope polynomial also vanishes at -1
             ok = s.numerator > 0 and slope_poly(self.p).sign_at(s.numerator, s.denominator) >= 0
-        else:  # Horner alone refuses minimal_slope(p) from p = 29 on
-            ok = s > 0 and eval_slope_poly(self.p, s) >= -FLOAT_TOL
-            ok = ok or s >= minimal_slope_bracket(self.p)[0]
+        else:
+            ok = s >= minimal_slope_bracket(self.p)[0]
         if not ok:
             raise SlopeBelowMinimumError(self.p, s)
 
@@ -250,7 +245,10 @@ def odd_type_map(p: int, slope) -> ConstructedMap:
     intervals[f"I{p - 1}"] = Interval(t_used, one)
     intervals.update(tents)
     markers = Markers(tuple(xs), t_used, intervals)
-    verify_markers(m, p, markers)
+    try:
+        verify_markers(m, p, markers)
+    except ValueError as exc:  # the markers are this build's own
+        raise RuntimeError(f"internal: {exc}") from None
 
     return ConstructedMap(map=m, markers=markers)
 

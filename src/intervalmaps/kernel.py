@@ -27,7 +27,6 @@ __all__ = [
     "IntPolynomial",
     "Scalar",
     "as_scalar",
-    "eval_slope_poly",
     "is_exact",
     "minimal_slope",
     "minimal_slope_bracket",
@@ -140,13 +139,6 @@ class IntPolynomial:
             raise ValueError("leading coefficient must be nonzero")
         object.__setattr__(self, "coeffs", cs)
 
-    def __call__(self, x: Scalar) -> Scalar:
-        """Horner evaluation; exact when x is rational."""
-        acc: Scalar = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return as_scalar(acc)
-
     def sign_at(self, num: int, den: int) -> int:
         """The sign of den^deg * P(num/den), so of P(num/den) when den > 0, in ints."""
         deg = len(self.coeffs) - 1
@@ -181,11 +173,6 @@ def slope_poly_quotient(p: int) -> IntPolynomial:
     coeffs[p - 2] = -1
     coeffs[p - 1] = 1
     return IntPolynomial(tuple(coeffs))
-
-
-def eval_slope_poly(p: int, x: Scalar) -> Scalar:
-    """Evaluate X^p - 2 X^(p-2) - 1; exact for rational x."""
-    return slope_poly(p)(as_scalar(x))
 
 
 @functools.lru_cache(typed=True)  # one bisection per p; as slope_poly, 128 p at most

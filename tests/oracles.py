@@ -27,6 +27,9 @@ a map's slopes and its engine's integers, and slope_at_least_minimal is the
 Horner check of a slope against the minimal one. The bracket of the minimal
 slope, now decided by exact integer signs, keeps its float-Horner bisection
 here (float_horner_bracket), which it must match bit for bit for p <= 105.
+Polynomials are evaluated only here, by Horner's rule (horner), and the slope
+polynomial's coefficients are written out here again (slope_poly_value), so
+no oracle reads the library's minimal-slope code.
 """
 
 import math
@@ -36,7 +39,7 @@ from functools import partial
 from typing import NamedTuple
 
 from intervalmaps import BranchBudgetError, Interval, OrbitNotClosedError, PLMap
-from intervalmaps.kernel import FLOAT_TOL, as_scalar, eval_slope_poly
+from intervalmaps.kernel import FLOAT_TOL, as_scalar
 from intervalmaps.plmap import MERGE_TOL, _IdentityBranch
 
 
@@ -465,10 +468,24 @@ def fraction_from_str(text):
     return Fraction(int(num), int(den))
 
 
+def horner(coeffs, x):
+    """The polynomial with coeffs[i] the coefficient of x**i, at x by Horner's
+    rule: exact for rational x, in binary64 for float x."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def slope_poly_value(p, x):
+    """X^p - 2 X^(p-2) - 1 at x, by horner."""
+    return horner([-1] + [0] * (p - 3) + [-2, 0, 1], x)
+
+
 def slope_at_least_minimal(p, s):
     """s > 0 and the slope polynomial X^p - 2 X^(p-2) - 1 is >= 0 at s, by
     Horner's rule in Fractions."""
-    return s > 0 and eval_slope_poly(p, s) >= 0
+    return s > 0 and slope_poly_value(p, s) >= 0
 
 
 def float_horner_bracket(p):
@@ -481,7 +498,7 @@ def float_horner_bracket(p):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        v = eval_slope_poly(p, mid)
+        v = slope_poly_value(p, mid)
         if v == 0.0:
             return (mid, mid)
         if v < 0.0:

@@ -15,7 +15,6 @@ from intervalmaps import (
     Interval,
     build_covering_graph,
     estimate_entropy,
-    eval_slope_poly,
     minimal_slope,
     odd_type_map,
     primitive_cycle_census,
@@ -24,7 +23,7 @@ from intervalmaps import (
     verify_mixing,
     verify_type,
 )
-from oracles import iterate, mixing_trace, primitive_cycles
+from oracles import iterate, mixing_trace, primitive_cycles, slope_poly_value
 
 F = Fraction
 
@@ -54,7 +53,7 @@ def test_criterion_01_minimal_slopes():
         for p in range(3, 32, 2):
             root = minimal_slope(p)
             assert math.sqrt(2) < root < 2
-            assert abs(eval_slope_poly(p, root)) < 1e-8
+            assert abs(slope_poly_value(p, root)) < 1e-8
 
 
 def test_criterion_02_construction_exactness():

@@ -306,7 +306,7 @@ class TestMixing:
         # first cover lands past 15, and must report None
         ("f72", F(1, 1024), 64, 15),
         ("sqrt32", F(1, 1024), 16, 40),  # not mixing: no trace covers
-        ("f52", 2.0 ** -10, 64, 200),  # float seeds on a rational map
+        ("f52", 2.0 ** -10, 64, 200),  # a float width on a rational map: exact seeds
         ("float", 2.0 ** -10, 64, 200),
         ("sqrt52", F(1, 1024), 64, 200),  # not mixing, traces stop at repeats
         # seeds that reach the cap leave their images unsettled: a later seed
@@ -323,17 +323,21 @@ class TestMixing:
         report = verify_mixing(m, width, grid, cap)
         traced = tuple(mixing_trace(m, seed, cap)[0] for seed in report.seeds)
         assert report.first_cover == traced
+        if m.is_exact and isinstance(width, float):
+            assert report.seeds == verify_mixing(m, F(1, 1024), grid, cap).seeds
+            assert all(type(x) is Fraction for s in report.seeds for x in (s.lo, s.hi))
 
     @pytest.mark.parametrize("path", RATIONAL_DOCS, ids=lambda path: path.stem)
     def test_int_seeds_match_fraction_layout(self, path):
         """Exact seeds laid out in ints equal the Fraction-arithmetic layout,
         ends reduced, on [0, 1] and on the [0, 3b] of a --no-rescale root; a
-        width of 2 is clipped to the domain."""
+        width of 2 is clipped to the domain. An int width and a float one,
+        taken at its binary64 value, give exact seeds too."""
         m = load_document(path).map
-        for width in (F(1, 1024), F(1, 3), F(5, 7), F(2)):
+        for width in (F(1, 1024), F(1, 3), F(5, 7), F(2), 1, 0.001):
             for grid in (1, 7, 64):
                 seeds = verify_mixing(m, width, grid, 1).seeds
-                expected = mixing_seeds(m, width, grid)
+                expected = mixing_seeds(m, F(width), grid)
                 assert seeds == expected
                 assert [(scalar_to_str(s.lo), scalar_to_str(s.hi)) for s in seeds] == [
                     (scalar_to_str(s.lo), scalar_to_str(s.hi)) for s in expected

@@ -238,6 +238,20 @@ class TestAnalyze:
         report = json.loads(capsys.readouterr().out)
         assert report["mixing"]["all_covered"] is True
 
+    @pytest.mark.parametrize("width, first_cover", [
+        ("0.001", [12, 13, 13, 13]),
+        ("lambda_p", [1, 0, 0, 2]),
+    ])
+    def test_decimal_width_traced_exactly(self, tmp_path, capsys, width, first_cover):
+        """On a rational document a decimal or lambda_p width is taken at its
+        binary64 value: every seed end is a/b."""
+        path = construct(tmp_path, "--p", "5", "--lambda", "2")
+        capsys.readouterr()
+        assert main(["analyze", str(path), "--mixing", width, "4", "100"]) == 0
+        mixing = json.loads(capsys.readouterr().out)["mixing"]
+        assert all("/" in end for seed in mixing["seeds"] for end in seed)
+        assert mixing["first_cover"] == first_cover
+
     @pytest.mark.parametrize("mixing, message", [
         (["abc", "64", "200"], "--mixing WIDTH must be a positive number, got abc"),
         (["1/1024", "x", "200"], "--mixing GRID must be an integer >= 1, got x"),
@@ -495,6 +509,14 @@ class TestSweep:
     def test_empty_grid_usage_error(self, tmp_path, capsys):
         code = main(["sweep", "--p", "", "--out-dir", str(tmp_path / "x")])
         assert code == 1
+
+    def test_empty_target_entropy_list_usage_error(self, tmp_path, capsys):
+        """An empty --target-entropy list is an empty grid, not the default one."""
+        out_dir = tmp_path / "empty"
+        code = main(["sweep", "--target-entropy", ",", "--out-dir", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == "usage error: empty sweep grid\n"
+        assert not out_dir.exists()
 
     def test_parallel_matches_sequential(self, tmp_path, capsys):
         kwargs = [

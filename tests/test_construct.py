@@ -20,10 +20,10 @@ from intervalmaps import (
 )
 from intervalmaps import construct
 from intervalmaps.document import MapDocument, document_for
-from intervalmaps.kernel import (
-    FLOAT_TOL, IntPolynomial, eval_slope_poly, minimal_slope_bracket
+from intervalmaps.kernel import FLOAT_TOL, IntPolynomial, minimal_slope_bracket
+from oracles import (
+    horner, iterate, slope_at_least_minimal, slope_poly_value, stefan_map_by_dict
 )
-from oracles import iterate, slope_at_least_minimal, stefan_map_by_dict
 
 F = Fraction
 
@@ -107,7 +107,7 @@ class TestOrbit:
     @given(slope=SLOPES_ABOVE_MIN, p=st.sampled_from([3, 5, 7]))
     def test_t_gap_is_quotient_value(self, slope, p):
         _, t = orbit_and_t(p, slope)
-        assert t - 1 / slope == slope_poly_quotient(p)(slope) / slope ** (p - 1)
+        assert t - 1 / slope == horner(slope_poly_quotient(p).coeffs, slope) / slope ** (p - 1)
 
     @pytest.mark.parametrize("p", [7, 9, 11])
     @pytest.mark.parametrize("slope", [F(2), F(5, 2)])
@@ -284,8 +284,9 @@ def params_at_d0(p, slope):
 def admitted(build, p, slope) -> bool:
     """False when build(p, slope) raises SlopeBelowMinimumError, else True.
     A floating build that binary64 rounding breaks after the slope passed
-    (a check's RuntimeError or a marker's ValueError, as at lambda_p + 1e-8
-    for p = 3) admitted the slope; an exact one may not fail so."""
+    (a check's RuntimeError, its markers' check included, as at lambda_p +
+    1e-8 and + 1e-9 for p = 3) admitted the slope; an exact one may not fail
+    so."""
     try:
         build(p, slope)
     except SlopeBelowMinimumError:
@@ -338,10 +339,9 @@ def test_one_slope_rule(cell):
 
 def test_lambda_p_bisected_once_per_p(monkeypatch):
     """minimal_slope, parse_slope_text('lambda_p'), SlopeBelowMinimumError
-    and the floating check of ConstructionParams (which reads the bracket at
-    p = 29, where Horner refuses lambda_p) share one bisection per p: the
-    sign_at calls of all of them, made three times over, are those of one
-    uncached bisection."""
+    and the floating check of ConstructionParams (which reads the bracket)
+    share one bisection per p: the sign_at calls of all of them, made three
+    times over, are those of one uncached bisection."""
     calls = []
     sign_at = IntPolynomial.sign_at
 
@@ -384,11 +384,11 @@ class TestLambdaP:
     def test_horner_refusals(self):
         refused = [
             p for p in range(3, 102, 2)
-            if eval_slope_poly(p, minimal_slope(p)) < -FLOAT_TOL
+            if slope_poly_value(p, minimal_slope(p)) < -FLOAT_TOL
         ]
         assert refused == HORNER_REFUSES_LAMBDA_P
 
-    @pytest.mark.parametrize("p", HORNER_REFUSES_LAMBDA_P)
+    @pytest.mark.parametrize("p", range(3, 102, 2))
     def test_nothing_below_the_bracket_passes(self, p):
         """The bracket's low end is accepted and the float below it is not."""
         lo, _ = minimal_slope_bracket(p)
@@ -396,12 +396,22 @@ class TestLambdaP:
         with pytest.raises(SlopeBelowMinimumError):
             ConstructionParams(p, 0, math.nextafter(lo, 0))
 
+    @pytest.mark.parametrize("build", [params_at_d0, odd_type_map])
+    def test_horner_band_below_lambda_p_refused(self, build):
+        """A float 1e-10 under the bracket is refused, though the slope
+        polynomial's binary64 value there is within FLOAT_TOL of 0."""
+        lo, _ = minimal_slope_bracket(3)
+        assert slope_poly_value(3, lo - 1e-10) >= -FLOAT_TOL
+        with pytest.raises(SlopeBelowMinimumError):
+            build(3, lo - 1e-10)
+
 
 class TestRoundingBrokenBuild:
     @pytest.mark.parametrize("p, slope, check", [
         (21, 7.5, "(ordering broken between x_1 and x_0)"),
         (5, 181.5, "(slopes are not all +-181.5: one is 1.1122835985588608e-09 off)"),
         (3, 1e30, "(t must stay below 1)"),
+        (3, 1.618033989749979, "(marker orbit[2] = 1.0 does not map to orbit[0])"),
     ])
     def test_float_build_refused_in_one_line(self, p, slope, check):
         """A check that binary64 rounding breaks refuses the build with a

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from intervalmaps import ConstructionParams, eval_slope_poly, minimal_slope, verify_type
+from intervalmaps import ConstructionParams, minimal_slope, verify_type
 from intervalmaps.cli import main
 from intervalmaps.document import MapDocument, document_for, load_document
+from oracles import slope_poly_value
 
 F = Fraction
 
@@ -203,7 +204,7 @@ def slopes_at_or_above_minimum(draw):
     den = draw(st.integers(1, 50))
     num = draw(st.integers(math.ceil(minimal_slope(p) * den), 2 * den))
     slope = F(num, den)
-    assume(eval_slope_poly(p, slope) >= 0)
+    assume(slope_poly_value(p, slope) >= 0)
     return ConstructionParams(p, 0, slope)
 
 
