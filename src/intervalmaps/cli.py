@@ -203,8 +203,9 @@ def _build_parser() -> _Parser:
 
 
 def cmd_construct(args) -> int:
-    params = ConstructionParams(args.p, args.d, parse_slope_text(args.slope_text, args.p))
-    doc = document_for(params, args.rescale)
+    slope = parse_slope_text(args.slope_text, args.p)
+    params = ConstructionParams(args.p, args.d, slope, args.rescale)
+    doc = document_for(params)
     summary = (
         f"constructed map: type {params.type_value}, "
         f"target entropy log({scalar_to_str(params.slope)})/2^{params.doublings} "

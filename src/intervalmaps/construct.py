@@ -11,7 +11,7 @@ build's inputs and Markers its certification markers, which verify_markers
 checks against the map at build and on load.
 
 Everything is exact when the slope is rational; floating mode compares within
-the kernel's FLOAT_TOL.
+the kernel's FLOAT_TOL. A failed build check raises _failed_check's error.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .covering import check_partition
 from .kernel import (
@@ -68,7 +68,7 @@ class SlopeBelowMinimumError(ValueError):
 
 @dataclass(frozen=True)
 class ConstructionParams:
-    """Parameters (p, doublings, slope) for a type 2^d * p build.
+    """Parameters (p, doublings, slope, rescale) for a type 2^d * p build.
 
     The one record of a build's parameters and the one slope rule: the CLI
     validates its arguments here, a loaded document its params, and
@@ -81,6 +81,7 @@ class ConstructionParams:
     p: int
     doublings: int = 0
     slope: Scalar = 2
+    rescale: bool = True
 
     def __post_init__(self):
         _require_odd(self.p)
@@ -94,6 +95,10 @@ class ConstructionParams:
             ok = s >= minimal_slope_bracket(self.p)[0]
         if not ok:
             raise SlopeBelowMinimumError(self.p, s)
+
+    @property
+    def mode(self) -> str:
+        return "rational" if is_exact(self.slope) else "floating"
 
     @property
     def type_value(self) -> int:
@@ -169,22 +174,33 @@ def orbit_and_t(p: int, slope) -> Tuple[Tuple[Scalar, ...], Scalar]:
     xs[p - 2] = one - one
     xs[p - 1] = one
     t = (s ** (p - 1) - reduce(add, ((-s) ** j for j in range(p - 2)), 0)) / s ** (p - 1)
-    _verify_orbit_system(p, s, xs, t, tol)
+    if check := _verify_orbit_system(p, s, xs, t, tol):
+        raise _failed_check(p, s, check)
     return tuple(xs), t
 
 
-def _verify_orbit_system(p, s, xs, t, tol) -> None:
+def _failed_check(p: int, s: Scalar, check: str) -> Exception:
+    """A failed check's error: a program fault if s is rational, else a refusal."""
+    if is_exact(s):
+        return RuntimeError(f"internal: {check}")
+    return ValueError(
+        f"binary64 rounding breaks the odd type {p} build at slope "
+        f"{scalar_to_str(s)} ({check}); give the slope as a fraction a/b"
+    )
+
+
+def _verify_orbit_system(p, s, xs, t, tol) -> Optional[str]:
     for i in range(p - 3):
         if not _within(xs[i + 1], 1 - s * xs[i], tol):
-            raise RuntimeError(f"internal: orbit relation broken at i={i}")
+            return f"orbit relation broken at i={i}"
     if not _within(xs[0], s * (1 - t), tol):
-        raise RuntimeError("internal: ramp relation broken")
+        return "ramp relation broken"
     chain = list(range(p - 2, 0, -2)) + list(range(0, p - 2, 2))
     for a, b in zip(chain, chain[1:]):
         if not xs[a] < xs[b]:
-            raise RuntimeError(f"internal: ordering broken between x_{a} and x_{b}")
+            return f"ordering broken between x_{a} and x_{b}"
     if not t < xs[p - 1]:
-        raise RuntimeError("internal: t must stay below 1")
+        return "t must stay below 1"
 
 
 def odd_type_map(p: int, slope) -> ConstructedMap:
@@ -236,7 +252,8 @@ def odd_type_map(p: int, slope) -> ConstructedMap:
     points.append((one, s * (one - t_used)))
 
     m = PLMap(tuple(x for x, _ in points), tuple(v for _, v in points))
-    _verify_build(m, s, tents, height)
+    if check := _verify_build(m, s, tents, height):
+        raise _failed_check(p, s, check)
 
     intervals: Dict[str, Interval] = {}
     intervals["I1"] = _hull(xs[0], xs[1])
@@ -248,7 +265,7 @@ def odd_type_map(p: int, slope) -> ConstructedMap:
     try:
         verify_markers(m, p, markers)
     except ValueError as exc:  # the markers are this build's own
-        raise RuntimeError(f"internal: {exc}") from None
+        raise _failed_check(p, s, str(exc)) from None
 
     return ConstructedMap(map=m, markers=markers)
 
@@ -257,20 +274,20 @@ def _hull(a: Scalar, b: Scalar) -> Interval:
     return Interval(min(a, b), max(a, b))
 
 
-def _verify_build(m, s, tents, height) -> None:
+def _verify_build(m, s, tents, height) -> Optional[str]:
     tol = m.tol
     report = m.is_constant_slope(s)
     if not report:
         off = max(report.deviations)  # a list of the slopes may run to megabytes
-        raise RuntimeError(f"internal: slopes are not all +-{s}: one is {off} off")
+        return f"slopes are not all +-{s}: one is {off} off"
     for name, iv in tents.items():
         if not (_within(m.eval(iv.lo), 0, tol) and _within(m.eval(iv.hi), 0, tol)):
-            raise RuntimeError(f"internal: tent {name} endpoints must map to 0")
+            return f"tent {name} endpoints must map to 0"
         summit = m.eval(iv.mid)
         if name.startswith("J") and not _within(summit, height, tol):
-            raise RuntimeError(f"internal: tent {name} summit must be {height}")
+            return f"tent {name} summit must be {height}"
         if name == "K" and not summit < height:
-            raise RuntimeError("internal: cap tent must stay below the full tents")
+            return "cap tent must stay below the full tents"
 
 
 def verify_markers(m: PLMap, p: int, markers: Markers) -> None:
@@ -297,9 +314,8 @@ def square_root(f: PLMap, rescale: bool = True) -> PLMap:
 
     g = f + 2b on [0, b], linear down to (2b, 0), then the translation
     x - 2b on [2b, 3b]; g has twice the type and half the entropy of f.
-    With rescale the result is conjugated back onto [0, 1] by x -> (x - a) / w,
-    a the first breakpoint and w the last minus a, applied to g's tuples
-    before its one PLMap is made.
+    With rescale the result is conjugated back onto [0, 1] by x -> x / 3b,
+    applied to g's tuples before its one PLMap is made.
     """
     if f.breakpoints[0] != 0:
         raise ValueError("square root needs a domain starting at 0")
@@ -308,10 +324,9 @@ def square_root(f: PLMap, rescale: bool = True) -> PLMap:
     bps = tuple(f.breakpoints) + (2 * b, 3 * b)
     vals = tuple(v + 2 * b for v in f.values) + (zero, b)
     if rescale:
-        a = bps[0]
-        w = bps[-1] - a
-        bps = tuple((x - a) / w for x in bps)
-        vals = tuple((v - a) / w for v in vals)
+        w = bps[-1]
+        bps = tuple(x / w for x in bps)
+        vals = tuple(v / w for v in vals)
     return PLMap(bps, vals)
 
 

@@ -24,7 +24,7 @@ from typing import Optional
 from . import __version__
 from .construct import ConstructionParams, Markers, odd_type_map, square_root, verify_markers
 from .kernel import FLOAT_TOL, is_exact, scalar_from_str, scalar_to_str
-from .plmap import BranchBudgetError, Interval, PLMap
+from .plmap import Interval, PLMap
 
 FORMAT_ID = "interval-map/1"
 TOOL_ID = f"intervalmaps {__version__}"
@@ -44,14 +44,9 @@ class MapDocument:
     """A constructed map plus its build parameters, markers and provenance."""
 
     params: ConstructionParams
-    rescale: bool
     map: PLMap
     markers: Optional[Markers]
     provenance: dict
-
-    @property
-    def mode(self) -> str:
-        return "rational" if is_exact(self.params.slope) else "floating"
 
     def to_dict(self) -> dict:
         markers = None
@@ -70,9 +65,9 @@ class MapDocument:
                 "p": self.params.p,
                 "d": self.params.doublings,
                 "lambda": scalar_to_str(self.params.slope),
-                "mode": self.mode,
+                "mode": self.params.mode,
                 "tol": FLOAT_TOL,
-                "rescale": self.rescale,
+                "rescale": self.params.rescale,
             },
             "breakpoints": [scalar_to_str(b) for b in self.map.breakpoints],
             "values": [scalar_to_str(v) for v in self.map.values],
@@ -104,8 +99,8 @@ class MapDocument:
                     _typed(params, "p", int, "an integer"),
                     _typed(params, "d", int, "an integer"),
                     scalar_from_str(params["lambda"]),
+                    _typed(params, "rescale", bool, "true or false"),
                 ),
-                rescale=_typed(params, "rescale", bool, "true or false"),
                 map=PLMap(
                     tuple(scalar_from_str(b) for b in obj["breakpoints"]),
                     tuple(scalar_from_str(v) for v in obj["values"]),
@@ -115,13 +110,13 @@ class MapDocument:
             )
             if doc.map.is_exact != is_exact(doc.params.slope):
                 raise ValueError(
-                    f"document field 'lambda' is {doc.mode} but the map is "
+                    f"document field 'lambda' is {doc.params.mode} but the map is "
                     f"{'rational' if doc.map.is_exact else 'floating'}"
                 )
-            if params["mode"] != doc.mode:
+            if params["mode"] != doc.params.mode:
                 raise ValueError(
-                    f"document field 'mode' must be {doc.mode!r} for a {doc.mode} map, "
-                    f"got {params['mode']!r}"
+                    f"document field 'mode' must be {doc.params.mode!r} for a "
+                    f"{doc.params.mode} map, got {params['mode']!r}"
                 )
         except KeyError as exc:
             raise ValueError(f"document lacks field {exc}") from None
@@ -162,36 +157,24 @@ def _markers_from_dict(obj: dict) -> Markers:
     return Markers(orbit, scalar_from_str(obj["t"]), intervals)
 
 
-def document_for(params: ConstructionParams, rescale: bool = True) -> MapDocument:
+def document_for(params: ConstructionParams) -> MapDocument:
     """Build the map params describe, of type 2^d * p and entropy
     log(slope) / 2^d: the odd-type map followed by d square roots. Markers
     are carried only when d = 0; the square-root conjugacy does not preserve
     them. A root that is no map (in floating mode, rounding merges two
     breakpoints or two values once the map's features shrink below an ulp)
-    raises ValueError naming the root and d. So does a floating build that
-    rounding breaks, naming the check it fails; an exact one that fails a
-    check is a program fault and keeps its RuntimeError."""
-    try:
-        built = odd_type_map(params.p, params.slope)
-    except RuntimeError as exc:
-        if is_exact(params.slope) or isinstance(exc, BranchBudgetError):
-            raise
-        check = str(exc).removeprefix("internal: ")
-        raise ValueError(
-            f"binary64 rounding breaks the odd type {params.p} build at slope "
-            f"{scalar_to_str(params.slope)} ({check}); give the slope as a fraction a/b"
-        ) from None
+    raises ValueError naming the root and d."""
+    built = odd_type_map(params.p, params.slope)
     final = built.map
     for k in range(1, params.doublings + 1):
         try:
-            final = square_root(final, rescale=rescale)
+            final = square_root(final, rescale=params.rescale)
         except ValueError as exc:
             raise ValueError(
                 f"square root {k} of d = {params.doublings} is not a valid map: {exc}"
             ) from None
     return MapDocument(
         params=params,
-        rescale=rescale,
         map=final,
         markers=built.markers if params.doublings == 0 else None,
         provenance={

@@ -309,17 +309,23 @@ class PLMap:
         _hits, cut at the turning points (where the engine's A changes sign)
         and at every interior breakpoint; a floating one reads the branch
         pass. The first n whose branch count exceeds the cap raises
-        BranchBudgetError naming n - 1 as the largest completed iterate."""
+        BranchBudgetError naming n - 1 as the largest completed iterate. An
+        exact map checks its branch counts to depth min(n_max, 64), then to
+        twice that depth while they pass and n_max lies deeper, so the work
+        stops within about twice the first depth over the cap; the laps are
+        counted once, at n_max."""
         if n_max < 1:
             raise ValueError("n_max must be >= 1")
         if not self.is_exact:
             return self._recorded(n_max, branch_cap).laps[:n_max]
         inner, A = self.breakpoints[1:-1], self._engine.A
         turning = tuple(b for b, u, w in zip(inner, A, A[1:]) if (u > 0) != (w > 0))
-        counts = self._hits(inner, n_max)
-        laps = counts if len(turning) == len(inner) else self._hits(turning, n_max)
-        _check_budget(counts, branch_cap)
-        return laps
+        m = 0
+        while m < n_max:
+            m = min(max(2 * m, 64), n_max)
+            counts = self._hits(inner, m)
+            _check_budget(counts, branch_cap)
+        return counts if len(turning) == len(inner) else self._hits(turning, n_max)
 
     def _hits(self, cuts: Tuple[Scalar, ...], n_max: int) -> List[int]:
         """1 + the number of points of the open domain whose orbit meets cuts

@@ -103,7 +103,9 @@ class TestBoundaryWalk:
         assert made == steps
 
     def test_mixed_ends_walk_alone(self, f52):
-        """A float end on an exact map takes its own walk, within FLOAT_TOL."""
+        """A float end on an exact map takes its own walk, which closes only
+        on equality, as an exact map's tol is 0; FLOAT_TOL enters only
+        through the domain clamp."""
         partition = [("A", Interval(F(0), 0.5)), ("B", Interval(0.5, F(1)))]
         assert _boundary_periods(f52.map, partition, 5) == {
             "0/1": 5, "0.5": f52.map.return_times((0.5,), 5)[0], "1/1": 5

@@ -38,7 +38,7 @@ class TestConstruct:
         assert "type 5" in out
         doc = load_document(str(path))
         assert len(doc.map.breakpoints) == 7
-        assert doc.mode == "rational"
+        assert doc.params.mode == "rational"
 
     def test_stdout_mode(self, capsys):
         code = main(["construct", "--p", "3", "--lambda", "2"])
@@ -83,7 +83,7 @@ class TestConstruct:
     def test_lambda_p_keyword(self, tmp_path):
         path = construct(tmp_path, "--p", "3", "--lambda", "lambda_p")
         doc = load_document(str(path))
-        assert doc.mode == "floating"
+        assert doc.params.mode == "floating"
         assert len(doc.map.breakpoints) == 3  # degenerate middle block
 
     def test_lambda_p_at_p29(self, tmp_path):

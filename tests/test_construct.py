@@ -239,8 +239,12 @@ class TestSquareRoot:
         params = ConstructionParams(3, 2, F(2))
         dom = document_for(params).map.domain
         assert (dom.lo, dom.hi) == (0, 1)
-        raw = document_for(params, rescale=False).map
+        raw = document_for(ConstructionParams(3, 2, F(2), rescale=False)).map
         assert raw.breakpoints[-1] == 9
+
+    def test_typed_map_without_rescale_is_raw_root(self, f32):
+        params = ConstructionParams(3, 1, F(2), rescale=False)
+        assert document_for(params).map == square_root(f32.map, rescale=False)
 
 
 class TestParams:
@@ -284,9 +288,9 @@ def params_at_d0(p, slope):
 def admitted(build, p, slope) -> bool:
     """False when build(p, slope) raises SlopeBelowMinimumError, else True.
     A floating build that binary64 rounding breaks after the slope passed
-    (a check's RuntimeError, its markers' check included, as at lambda_p +
-    1e-8 and + 1e-9 for p = 3) admitted the slope; an exact one may not fail
-    so."""
+    (a failed check's ValueError, its markers' check included, as at
+    lambda_p + 1e-8 and + 1e-9 for p = 3) admitted the slope; an exact one
+    may not fail so."""
     try:
         build(p, slope)
     except SlopeBelowMinimumError:
@@ -406,6 +410,22 @@ class TestLambdaP:
             build(3, lo - 1e-10)
 
 
+# (p, float slope, the build check that binary64 rounding breaks there)
+ROUNDING_BROKEN = [
+    (21, 7.5, "(ordering broken between x_1 and x_0)"),
+    (5, 181.5, "(slopes are not all +-181.5: one is 1.1122835985588608e-09 off)"),
+    (3, 1e30, "(t must stay below 1)"),
+    (3, 1.618033989749979, "(marker orbit[2] = 1.0 does not map to orbit[0])"),
+]
+
+
+def rounding_refusal(p, slope, check) -> str:
+    return (
+        f"binary64 rounding breaks the odd type {p} build at slope {slope!r} "
+        f"{check}; give the slope as a fraction a/b"
+    )
+
+
 class TestRoundingBrokenBuild:
     @pytest.mark.parametrize("p, slope, check", [
         (21, 7.5, "(ordering broken between x_1 and x_0)"),
@@ -424,6 +444,20 @@ class TestRoundingBrokenBuild:
             f"{check}; give the slope as a fraction a/b"
         )
 
+    @pytest.mark.parametrize("p, slope, check", ROUNDING_BROKEN)
+    def test_builder_raises_the_refusal(self, p, slope, check):
+        """odd_type_map raises document_for's refusal itself, where the
+        check fails."""
+        with pytest.raises(ValueError) as err:
+            odd_type_map(p, slope)
+        assert str(err.value) == rounding_refusal(p, slope, check)
+
+    @pytest.mark.parametrize("p, slope, check", [ROUNDING_BROKEN[0], ROUNDING_BROKEN[2]])
+    def test_orbit_raises_the_refusal(self, p, slope, check):
+        with pytest.raises(ValueError) as err:
+            orbit_and_t(p, slope)
+        assert str(err.value) == rounding_refusal(p, slope, check)
+
     def test_exact_forms_build(self):
         assert len(document_for(ConstructionParams(21, 0, F(15, 2))).map.breakpoints) == 59
         assert len(document_for(ConstructionParams(5, 0, F(363, 2))).map.breakpoints) == 32945
@@ -432,7 +466,7 @@ class TestRoundingBrokenBuild:
         """A failed check on an exact build is a program fault, not an input
         to refuse."""
         def broken(*args):
-            raise RuntimeError("internal: ramp relation broken")
+            return "ramp relation broken"
 
         monkeypatch.setattr(construct, "_verify_orbit_system", broken)
         with pytest.raises(RuntimeError, match="^internal: ramp relation broken$"):

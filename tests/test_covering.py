@@ -13,6 +13,7 @@ from intervalmaps import (
     odd_type_map,
     primitive_cycle_census,
 )
+from intervalmaps.covering import check_partition
 from oracles import census_by_trace_formula, primitive_cycles
 
 F = Fraction
@@ -189,6 +190,13 @@ def test_census_at_large_p(p):
     assert census[p] > 0
     if p < 51:
         assert census == census_by_trace_formula(graph, p)
+
+
+def test_argument_floors(f52, graph52):
+    with pytest.raises(ValueError, match="empty partition"):
+        check_partition(f52.map, [])
+    with pytest.raises(ValueError, match="max_len must be >= 1"):
+        primitive_cycle_census(graph52, 0)
 
 
 class TestDot:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from intervalmaps import ConstructionParams, minimal_slope, verify_type
 from intervalmaps.cli import main
-from intervalmaps.document import MapDocument, document_for, load_document
+from intervalmaps.document import MapDocument, document_for, load_document, write_text_atomic
 from oracles import slope_poly_value
 
 F = Fraction
@@ -57,6 +57,11 @@ class TestBuilder:
         assert doc.params is params
         assert doc.markers is None
         assert MapDocument.from_json(doc.to_json()).params == params
+
+    def test_rescale_is_a_param(self):
+        doc = load_document(str(DATA / "map_p5_d2_lam17_10_norescale.json"))
+        assert doc.params == ConstructionParams(5, 2, F(17, 10), rescale=False)
+        assert document_for(doc.params).map == doc.map
 
     def test_document_is_frozen_and_keeps_its_map(self):
         doc = load_document(str(FIXTURES[0]))
@@ -157,6 +162,41 @@ class TestLoadRefusals:
         assert doc.markers.orbit[0] == F(1, 2) and doc.markers.orbit[0].numerator == 1
         assert doc.to_json() == text
         assert main(["analyze", str(path), "--entropy", "3"]) == 0
+
+
+class TestMalformedDocuments:
+    """A document of the wrong shape is refused in one line, on load and by
+    analyze, with no traceback."""
+
+    @staticmethod
+    def base():
+        return document_for(ConstructionParams(5, 0, F(2))).to_dict()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda obj: [obj], "unsupported document format None"),
+        (lambda obj: {**obj, "format": "interval-map/2"},
+         "unsupported document format 'interval-map/2'"),
+        (lambda obj: {**obj, "breakpoints": 5}, "malformed document: "),
+        (lambda obj: {**obj, "markers": [1]}, "malformed document: "),
+        (lambda obj: {**obj, "markers": {**obj["markers"], "intervals": [["0", "1"]]}},
+         "malformed document: "),
+    ], ids=["array", "format", "breakpoints", "markers", "intervals"])
+    def test_refused_in_one_line(self, tmp_path, capsys, edit, message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(edit(self.base())))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            load_document(str(path))
+        assert main(["analyze", str(path), "--entropy", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+def test_unencodable_text_leaves_no_file(tmp_path):
+    path = tmp_path / "out.txt"
+    with pytest.raises(UnicodeEncodeError):
+        write_text_atomic(str(path), "a\ud800b")
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestMarkerCheck:

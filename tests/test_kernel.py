@@ -240,6 +240,25 @@ class TestScalarText:
         with pytest.raises(ValueError):
             as_scalar(float("nan"))
 
+    def test_non_scalars_rejected(self):
+        from intervalmaps import as_scalar
+
+        for x in (True, "1"):
+            with pytest.raises(TypeError):
+                as_scalar(x)
+
+    def test_subclasses_pass_through(self):
+        from intervalmaps import as_scalar
+
+        class Ratio(Fraction):
+            pass
+
+        class Real(float):
+            pass
+
+        for x in (Ratio(1, 3), Real(0.5)):
+            assert as_scalar(x) is x
+
 
 def straddling_slopes(p):
     """Rationals just below and just above lambda_p: the ends of its float

@@ -234,6 +234,44 @@ class TestLaps:
             assert again.value.completed_n == done
 
 
+    @pytest.mark.parametrize("slope, done", [(F(2), 21), (F(17, 10), 28)])
+    def test_deep_request_stops_near_the_cap(self, monkeypatch, slope, done):
+        """An n_max far past the cap is refused from the branch counts of a
+        shallow depth: no _hits call goes deeper than 128."""
+        m = odd_type_map(5, slope).map
+        hits = PLMap._hits
+
+        def spy(self, cuts, n_max):
+            assert n_max <= 128, f"_hits to depth {n_max}"
+            return hits(self, cuts, n_max)
+
+        monkeypatch.setattr(PLMap, "_hits", spy)
+        with pytest.raises(BranchBudgetError) as err:
+            m.lap_growth(10**6)
+        assert err.value.completed_n == done
+
+    @pytest.mark.parametrize("n_max", [1, 12, 20, 64])
+    def test_shallow_request_counts_once(self, monkeypatch, stefan5, n_max):
+        """Up to n_max = 64 each cut set is counted once, to depth n_max:
+        stefan5's three inner breakpoints, then its one turning point."""
+        hits, depths = PLMap._hits, []
+
+        def spy(self, cuts, n):
+            depths.append((len(cuts), n))
+            return hits(self, cuts, n)
+
+        monkeypatch.setattr(PLMap, "_hits", spy)
+        stefan5.lap_growth(n_max, branch_cap=10**30)
+        assert depths == [(3, n_max), (1, n_max)]
+
+    def test_argument_floors(self, f32):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            f32.map.lap_growth(0)
+        for call in (f32.map.branches_of_iterate, f32.map.periodic_points):
+            with pytest.raises(ValueError, match="q must be >= 1"):
+                call(0)
+
+
 class TestPeriodicPoints:
     def test_fixed_points_f32(self, f32):
         assert f32.map.periodic_points(1) == [(F(1, 3), 1)]
